@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__, selfcheck, solver
+from . import __version__, solver
 from .config import RunConfig, format_config, parse_config
 from .diagnostics import make_record
 from .errors import ConfigError, InvalidParameterError, NumericalBreakdownError, PairPlasmaError
@@ -78,6 +78,8 @@ def _cmd_version(_args) -> int:
 
 
 def _cmd_check(_args) -> int:
+    from . import selfcheck  # imports scipy; keep it off the path of `run`
+
     results = selfcheck.run_all()
     width = max(len(r.name) for r in results)
     for r in results:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .grid import ddx, integrate
-from .kernels import PhysicsParams, displacement_flux
+from .kernels import PhysicsParams, pair_factor
 
 
 @dataclass
@@ -72,11 +72,11 @@ def gauss_residual(state, omega_pe_sq: float) -> float:
 def energy_balance_rhs(state, params: PhysicsParams) -> float:
     """Exact semi-discrete d(E_tot)/dt when displacement terms are on and a = 0.
 
-    The q0/E factor reuses the guarded displacement-flux kernel (gamma = 1),
-    so the integrand vanishes identically where the field is negligible.
+    q0/E = E * phi uses the solver's guarded pair factor, so the integrand
+    vanishes identically where the field is negligible.
     """
     dx = state.grid.dx
-    q0_over_e = displacement_flux(state.E, 1.0, params.N0, params.eps_field)
+    q0_over_e = state.E * pair_factor(state.E, params.N0, params.eps_field)
     gamma_sq_diff = state.p_e * state.p_e - state.p_p * state.p_p  # g^2 = 1 + p^2
     return -integrate(0.5 * q0_over_e * ddx(gamma_sq_diff, dx), dx)
 

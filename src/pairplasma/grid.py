@@ -5,10 +5,11 @@ with dx = 2X/M. The open-domain physics (fields vanishing at infinity) is
 emulated by choosing X several envelope widths wide, so wrap-around values
 are negligible.
 
-Derivatives are fourth-order central differences. Stencils are written as
-symmetric pair differences/sums, which makes the discrete system exactly
-equivariant under the mirror transform x -> -x (bit-for-bit, not just to
-truncation error). Reductions use numpy's pairwise summation, which is
+Derivatives are fourth-order central differences, read as slices of one copy
+of the field padded with two periodic ghost cells per side. Stencils are
+written as symmetric pair differences/sums, which makes the discrete system
+exactly equivariant under the mirror transform x -> -x (bit-for-bit, not
+just to truncation error). Reductions use numpy's pairwise summation, which is
 deterministic for a fixed array, so repeated runs are byte-identical.
 """
 
@@ -45,16 +46,23 @@ class Grid1D:
         return 2.0 * self.half_width
 
 
+def _neighbours(f: np.ndarray):
+    """Periodic neighbours (f[j+1], f[j-1], f[j+2], f[j-2]) as slices of one padded copy."""
+    m = len(f)
+    g = np.concatenate((f[-2:], f, f[:2]))  # g[j + 2] == f[j]
+    return g[3 : m + 3], g[1 : m + 1], g[4:], g[:m]
+
+
 def ddx(f: np.ndarray, dx: float) -> np.ndarray:
     """Fourth-order periodic first derivative."""
-    return (8.0 * (np.roll(f, -1) - np.roll(f, 1)) - (np.roll(f, -2) - np.roll(f, 2))) / (12.0 * dx)
+    right1, left1, right2, left2 = _neighbours(f)
+    return (8.0 * (right1 - left1) - (right2 - left2)) / (12.0 * dx)
 
 
 def d2dx2(f: np.ndarray, dx: float) -> np.ndarray:
     """Fourth-order periodic second derivative."""
-    return (
-        16.0 * (np.roll(f, -1) + np.roll(f, 1)) - (np.roll(f, -2) + np.roll(f, 2)) - 30.0 * f
-    ) / (12.0 * dx * dx)
+    right1, left1, right2, left2 = _neighbours(f)
+    return (16.0 * (right1 + left1) - (right2 + left2) - 30.0 * f) / (12.0 * dx * dx)
 
 
 def integrate(f: np.ndarray, dx: float) -> float:
@@ -70,9 +78,8 @@ def hyperdiffusion(f: np.ndarray, nu_h: float) -> np.ndarray:
     """
     if nu_h == 0.0:
         return np.zeros_like(f)
-    return -nu_h * (
-        (np.roll(f, -2) + np.roll(f, 2)) - 4.0 * (np.roll(f, -1) + np.roll(f, 1)) + 6.0 * f
-    )
+    right1, left1, right2, left2 = _neighbours(f)
+    return -nu_h * ((right2 + left2) - 4.0 * (right1 + left1) + 6.0 * f)
 
 
 def bohm_potential(n: np.ndarray, gamma: np.ndarray, dx: float) -> np.ndarray:

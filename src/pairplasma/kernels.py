@@ -89,6 +89,19 @@ def lorentz_gamma(p):
     return _maybe_scalar(np.sqrt(1.0 + p * p))
 
 
+def pair_factor(E, N0: float, eps_field: float):
+    """Guarded factor phi = exp(-pi / |E|) / N0 shared by q0 and the displacement flux.
+
+    q0 = E^2 * phi and D_s = g_s * (E * phi). Exact zero below the eps_field
+    guard and wherever the exponential underflows. Does no validation: the
+    solver checks its state once per stage, the public kernels check their
+    own arguments.
+    """
+    abs_e = np.abs(E)
+    weak = abs_e < eps_field
+    return np.where(weak, 0.0, np.exp(-np.pi / np.where(weak, 1.0, abs_e)) / N0)
+
+
 def schwinger_rate_norm(E, N0: float, eps_field: float = DEFAULT_EPS_FIELD):
     """Normalized pair creation rate q0 = (E^2 / N0) * exp(-pi / |E|).
 
@@ -98,11 +111,7 @@ def schwinger_rate_norm(E, N0: float, eps_field: float = DEFAULT_EPS_FIELD):
     if not (N0 > 0.0):
         raise InvalidParameterError(f"N0 must be positive, got {N0}")
     arr = _checked(E)
-    abs_e = np.abs(arr)
-    weak = abs_e < eps_field
-    safe = np.where(weak, 1.0, abs_e)
-    rate = np.where(weak, 0.0, (arr * arr / N0) * np.exp(-np.pi / safe))
-    return _maybe_scalar(rate)
+    return _maybe_scalar(arr * arr * pair_factor(arr, N0, eps_field))
 
 
 def displacement_flux(E, gamma, N0: float, eps_field: float = DEFAULT_EPS_FIELD):
@@ -115,11 +124,7 @@ def displacement_flux(E, gamma, N0: float, eps_field: float = DEFAULT_EPS_FIELD)
     if not (N0 > 0.0):
         raise InvalidParameterError(f"N0 must be positive, got {N0}")
     arr = _checked(E)
-    abs_e = np.abs(arr)
-    weak = abs_e < eps_field
-    safe = np.where(weak, 1.0, abs_e)
-    flux = np.where(weak, 0.0, gamma * (arr / N0) * np.exp(-np.pi / safe))
-    return _maybe_scalar(flux)
+    return _maybe_scalar(gamma * (arr * pair_factor(arr, N0, eps_field)))
 
 
 def schwinger_rate_si(E_field):

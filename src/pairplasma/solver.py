@@ -31,7 +31,19 @@ aborts on non-finite values, but by default it integrates through density
 zero-crossings at a caustic rather than stopping: the scheme stays finite
 there and the global diagnostics (energies, pair count, constraint
 residual) remain meaningful. Set `stop_on_negative_density` to treat any
-n <= 0 as a hard stop instead. No clamping or smoothing is ever applied.
+n <= 0 as a hard stop instead. The Bohm and recombination terms are
+undefined at n <= 0, so with either on the same stop applies. No clamping
+or smoothing is ever applied.
+
+Finite checks run in two places: `rhs` scans its input, which covers every
+RK4 stage state, and `rk4_step` scans the state it returns. Derivatives are
+not scanned on their own, because a non-finite derivative makes the next
+stage state or the step result non-finite. Either check raises
+NumericalBreakdownError with the time and the first offending cell.
+
+Each stage evaluates the guarded factor phi = exp(-pi/|E|)/N0
+(`kernels.pair_factor`) once and shares it: q0 = E^2 phi and
+D_s = g_s (E phi).
 
 A single run owns its state; `rhs` itself is pure and may be evaluated
 concurrently on snapshots.
@@ -46,12 +58,7 @@ import numpy as np
 from .diagnostics import make_record
 from .errors import InvalidParameterError, NumericalBreakdownError
 from .grid import Grid1D, bohm_potential, ddx, hyperdiffusion, integrate, poisson_init_E
-from .kernels import (
-    PhysicsParams,
-    displacement_flux,
-    recombination_momentum_exchange,
-    schwinger_rate_norm,
-)
+from .kernels import PhysicsParams, pair_factor, recombination_momentum_exchange
 from .output import read_snapshot
 
 # Hard step-size ceiling: signal speeds never exceed c = 1 in these units.
@@ -184,9 +191,15 @@ def _check_positive_densities(state: SimState):
 
 
 def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions):
-    """Time derivatives (dE, dn_e, dn_p, dp_e, dp_p) of the semi-discrete system."""
+    """Time derivatives (dE, dn_e, dn_p, dp_e, dp_p) of the semi-discrete system.
+
+    Checks that its input is finite; the derivatives themselves are not
+    scanned (rk4_step scans the state it returns).
+    """
     _check_fields(state.t, state.E, state.n_e, state.n_p, state.p_e, state.p_p)
-    if opts.stop_on_negative_density:
+    # Bohm and recombination are undefined for n <= 0: stop as a breakdown
+    # (with t and cell) rather than fail inside their kernels.
+    if opts.stop_on_negative_density or opts.bohm or params.a != 0.0:
         _check_positive_densities(state)
     dx = state.grid.dx
     w2 = params.omega_pe_sq
@@ -196,10 +209,12 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions):
     flux_e = state.n_e * (state.p_e / gamma_e)
     flux_p = state.n_p * (state.p_p / gamma_p)
 
-    q0 = schwinger_rate_norm(state.E, params.N0, params.eps_field)
+    phi = pair_factor(state.E, params.N0, params.eps_field)
+    q0 = state.E * state.E * phi
     if opts.displacement_terms:
-        disp_e = displacement_flux(state.E, gamma_e, params.N0, params.eps_field)
-        disp_p = displacement_flux(state.E, gamma_p, params.N0, params.eps_field)
+        e_phi = state.E * phi
+        disp_e = gamma_e * e_phi
+        disp_p = gamma_p * e_phi
     else:
         disp_e = np.zeros_like(state.E)
         disp_p = np.zeros_like(state.E)
@@ -228,8 +243,6 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions):
 
     sign = 1.0 if opts.ampere_sign_flip else -1.0
     dE = w2 * ((flux_e - flux_p) + sign * (disp_e + disp_p))
-
-    _check_fields(state.t, dE, dn_e, dn_p, dp_e, dp_p)
     return dE, dn_e, dn_p, dp_e, dp_p
 
 
@@ -247,7 +260,11 @@ def _shifted(state: SimState, deriv, h: float) -> SimState:
 
 
 def rk4_step(state: SimState, dt: float, params: PhysicsParams, opts: SolverOptions) -> SimState:
-    """One classical Runge-Kutta step of all five fields; bit-reproducible."""
+    """One classical Runge-Kutta step of all five fields; bit-reproducible.
+
+    Raises NumericalBreakdownError if any stage state or the returned state
+    holds a non-finite value.
+    """
     if not (0.0 < dt <= CFL_MAX * state.grid.dx * (1.0 + 1e-12)):
         raise InvalidParameterError(
             f"dt = {dt} violates the step bound dt <= {CFL_MAX}*dx = {CFL_MAX * state.grid.dx}"
@@ -262,6 +279,7 @@ def rk4_step(state: SimState, dt: float, params: PhysicsParams, opts: SolverOpti
         (state.E, state.n_e, state.n_p, state.p_e, state.p_p), k1, k2, k3, k4
     ):
         fields_.append(u + sixth * ((a + d) + 2.0 * (b + c)))
+    _check_fields(state.t + dt, *fields_)
     return SimState(state.grid, state.t + dt, *fields_)
 
 

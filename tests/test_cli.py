@@ -1,9 +1,14 @@
 """End-to-end CLI tests: subcommands, exit codes, output layout."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pairplasma
 from pairplasma import __version__
 from pairplasma.cli import cli_main
 
@@ -70,6 +75,35 @@ class TestRunCommand:
         assert "wave breaking" in err
         series = (outdir / "series.csv").read_text().splitlines()
         assert len(series) > 10  # diagnostics up to the stop were flushed
+
+
+    @pytest.mark.parametrize("term", ["physics.a = 1e-4", "solver.bohm = on"])
+    def test_density_dependent_terms_break_down_with_partial_flush(self, tmp_path, capsys, term):
+        # Bohm and recombination need n > 0; past the caustic the run must
+        # stop as a numerical breakdown (exit 2) and keep what it computed.
+        outdir = tmp_path / "out"
+        cfg = write_config(tmp_path, f"grid.cells = 512\n{term}\noutput.dir = {outdir}\n")
+        assert cli_main(["run", cfg]) == 2
+        assert "wave breaking" in capsys.readouterr().err
+        series = (outdir / "series.csv").read_text().splitlines()
+        assert len(series) > 10
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = (
+        "import sys, pairplasma.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(pairplasma.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestInitCommand:

@@ -1,10 +1,12 @@
 """Grid operator tests: stencil contracts, convergence order, field solve."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pairplasma
 from pairplasma.errors import ChargeImbalanceError, InvalidParameterError, InvalidStateError
 from pairplasma.grid import (
     Grid1D,
@@ -154,6 +156,46 @@ class TestBohmPotential:
         n[3] = 0.0
         with pytest.raises(InvalidStateError):
             bohm_potential(n, np.ones(32), grid.dx)
+
+
+def roll_ddx(f, dx):
+    return (8.0 * (np.roll(f, -1) - np.roll(f, 1)) - (np.roll(f, -2) - np.roll(f, 2))) / (12.0 * dx)
+
+
+def roll_d2dx2(f, dx):
+    return (
+        16.0 * (np.roll(f, -1) + np.roll(f, 1)) - (np.roll(f, -2) + np.roll(f, 2)) - 30.0 * f
+    ) / (12.0 * dx * dx)
+
+
+def roll_hyperdiffusion(f, nu_h):
+    return -nu_h * (
+        (np.roll(f, -2) + np.roll(f, 2)) - 4.0 * (np.roll(f, -1) + np.roll(f, 1)) + 6.0 * f
+    )
+
+
+class TestRollReference:
+    """The slice stencils reproduce the np.roll formulation bit for bit."""
+
+    @pytest.mark.parametrize("cells", [8, 2048])
+    def test_bit_identical(self, cells):
+        rng = np.random.default_rng(cells)
+        grid = Grid1D(half_width=3.0, cells=cells)
+        for _ in range(5):
+            f = rng.normal(scale=rng.uniform(1e-3, 1e3), size=cells)
+            assert np.array_equal(ddx(f, grid.dx), roll_ddx(f, grid.dx))
+            assert np.array_equal(d2dx2(f, grid.dx), roll_d2dx2(f, grid.dx))
+            assert np.array_equal(hyperdiffusion(f, 0.37), roll_hyperdiffusion(f, 0.37))
+
+    def test_no_roll_left_in_package(self):
+        package = Path(pairplasma.__file__).parent
+        offenders = [
+            f"{path.name}:{number}"
+            for path in sorted(package.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if "np.roll" in line
+        ]
+        assert offenders == []
 
 
 class TestFieldSolve:

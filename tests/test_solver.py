@@ -10,7 +10,7 @@ import pytest
 import pairplasma.solver as sv
 from pairplasma.errors import InvalidParameterError, NumericalBreakdownError
 from pairplasma.grid import Grid1D, ddx
-from pairplasma.kernels import PhysicsParams
+from pairplasma.kernels import PhysicsParams, pair_factor
 from pairplasma.selfcheck import measure_langmuir_period, random_smooth_state
 from pairplasma.solver import (
     InitialCondition,
@@ -179,6 +179,55 @@ class TestRk4Step:
             errors.append(np.linalg.norm(state.E - start) / np.linalg.norm(start))
         assert errors[0] <= 1e-6
         assert errors[0] / errors[1] >= 8.0  # 4th-order accuracy evidence
+
+    def test_stage_overflow_is_breakdown(self):
+        # finite input, but gamma = sqrt(1 + p^2) overflows to inf in stage 1
+        grid = Grid1D(half_width=100.0, cells=64)
+        state = uniform_state(grid)
+        state.p_e[3] = 1e200
+        dt = 0.4 * grid.dx
+        with pytest.raises(NumericalBreakdownError) as excinfo:
+            with np.errstate(over="ignore", invalid="ignore"):
+                rk4_step(state, dt, PARAMS, SolverOptions(t_end=1.0))
+        assert excinfo.value.t == 0.5 * dt  # caught on entry to stage 2
+        assert 1 <= excinfo.value.cell <= 5
+
+    def test_non_finite_step_result_is_breakdown(self, monkeypatch):
+        # only the last stage is non-finite: the scan of the returned state catches it
+        grid = Grid1D(half_width=100.0, cells=64)
+        state = uniform_state(grid)
+        zero = np.zeros(grid.cells)
+        calls = []
+
+        def fake_rhs(st, params, opts):
+            calls.append(st.t)
+            dn_p = zero.copy()
+            if len(calls) == 4:
+                dn_p[9] = np.inf
+            return zero, zero, dn_p, zero, zero
+
+        monkeypatch.setattr(sv, "rhs", fake_rhs)
+        dt = 0.4 * grid.dx
+        with pytest.raises(NumericalBreakdownError) as excinfo:
+            rk4_step(state, dt, PARAMS, SolverOptions(t_end=1.0))
+        assert len(calls) == 4
+        assert (excinfo.value.t, excinfo.value.cell) == (dt, 9)
+
+    def test_pair_factor_once_per_stage(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return pair_factor(*args, **kwargs)
+
+        monkeypatch.setattr(sv, "pair_factor", counted)
+        grid = Grid1D(half_width=24000.0, cells=64)
+        state = random_smooth_state(grid, np.random.default_rng(2))
+        opts = SolverOptions(t_end=1.0)
+        rhs(state, PARAMS, opts)
+        assert len(calls) == 1
+        rk4_step(state, 0.4 * grid.dx, PARAMS, opts)
+        assert len(calls) == 1 + 4
 
     def test_mirror_equivariance_is_bit_exact(self):
         rng = np.random.default_rng(5)
