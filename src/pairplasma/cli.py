@@ -78,7 +78,7 @@ def _cmd_version(_args) -> int:
 
 
 def _cmd_check(_args) -> int:
-    from . import selfcheck  # imports scipy; keep it off the path of `run`
+    from . import selfcheck  # only `check` uses it; `run` does not import it
 
     results = selfcheck.run_all()
     width = max(len(r.name) for r in results)

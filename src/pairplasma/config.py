@@ -11,7 +11,9 @@ rejected with the offending line number. Floats accept decimal or scientific
 notation (locale-independent); booleans accept on/off, true/false, yes/no,
 1/0. `solver.dt` and `solver.cfl` are mutually exclusive.
 
-Sections and defaults:
+Each section is a field of `RunConfig`; its keys, their types and their
+defaults are the init fields of that field's dataclass, and the parser reads
+them from there (`_SCHEMA`). Summary:
 
     physics: N0=0.2  alpha=7.2973525693e-3  a=0.0  eps_field=1e-8
     grid:    half_width=24000.0  cells=2048
@@ -23,7 +25,8 @@ Sections and defaults:
     output:  dir=out  series_every=1  snapshot_every=40
 """
 
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, InvalidParameterError
 from .grid import Grid1D
@@ -45,7 +48,7 @@ class OutputConfig:
 @dataclass
 class RunConfig:
     physics: PhysicsParams = field(default_factory=PhysicsParams)
-    grid: Grid1D = field(default_factory=lambda: Grid1D(half_width=24000.0, cells=2048))
+    grid: Grid1D = field(default_factory=Grid1D)
     solver: SolverOptions = field(default_factory=SolverOptions)
     ic: InitialCondition = field(default_factory=InitialCondition)
     output: OutputConfig = field(default_factory=OutputConfig)
@@ -64,33 +67,24 @@ def _parse_int(text: str) -> int:
     return int(text, 10)
 
 
-# (section, key) -> value parser. Keys absent from a config keep their defaults.
+# section name -> dataclass, in RunConfig field order
+_SECTIONS = {f.name: f.type for f in fields(RunConfig)}
+
+
+def _parser(annotation):
+    """Value parser for a field type; Optional[X] parses as X."""
+    args = [arg for arg in typing.get_args(annotation) if arg is not type(None)]
+    kind = args[0] if args else annotation
+    return {bool: _parse_bool, int: _parse_int}.get(kind, kind)
+
+
+# (section, key) -> value parser, in field order. Keys absent from a config
+# keep their defaults.
 _SCHEMA = {
-    ("physics", "N0"): float,
-    ("physics", "alpha"): float,
-    ("physics", "a"): float,
-    ("physics", "eps_field"): float,
-    ("grid", "half_width"): float,
-    ("grid", "cells"): _parse_int,
-    ("solver", "dt"): float,
-    ("solver", "cfl"): float,
-    ("solver", "t_end"): float,
-    ("solver", "displacement_terms"): _parse_bool,
-    ("solver", "bohm"): _parse_bool,
-    ("solver", "nu_h"): float,
-    ("solver", "ampere_sign_flip"): _parse_bool,
-    ("solver", "stop_on_negative_density"): _parse_bool,
-    ("ic", "kind"): str,
-    ("ic", "L"): float,
-    ("ic", "base_e"): float,
-    ("ic", "base_p"): float,
-    ("ic", "amplitude"): float,
-    ("ic", "epsilon"): float,
-    ("ic", "mode"): _parse_int,
-    ("ic", "path"): str,
-    ("output", "dir"): str,
-    ("output", "series_every"): _parse_int,
-    ("output", "snapshot_every"): _parse_int,
+    (name, f.name): _parser(f.type)
+    for name, cls in _SECTIONS.items()
+    for f in fields(cls)
+    if f.init
 }
 
 
@@ -127,13 +121,7 @@ def parse_config(text: str) -> RunConfig:
         return {key: v for (sec, key), v in values.items() if sec == name}
 
     try:
-        return RunConfig(
-            physics=PhysicsParams(**section("physics")),
-            grid=Grid1D(**{"half_width": 24000.0, "cells": 2048, **section("grid")}),
-            solver=SolverOptions(**section("solver")),
-            ic=InitialCondition(**section("ic")),
-            output=OutputConfig(**section("output")),
-        )
+        return RunConfig(**{name: cls(**section(name)) for name, cls in _SECTIONS.items()})
     except InvalidParameterError as err:
         raise ConfigError(str(err)) from None
 
@@ -147,35 +135,13 @@ def _fmt_value(value) -> str:
 
 
 def format_config(config: RunConfig) -> str:
-    """Canonical resolved-config text; parse_config(format_config(c)) == c."""
-    pairs = [
-        ("physics.N0", config.physics.N0),
-        ("physics.alpha", config.physics.alpha),
-        ("physics.a", config.physics.a),
-        ("physics.eps_field", config.physics.eps_field),
-        ("grid.half_width", config.grid.half_width),
-        ("grid.cells", config.grid.cells),
-        ("solver.t_end", config.solver.t_end),
-        ("solver.displacement_terms", config.solver.displacement_terms),
-        ("solver.bohm", config.solver.bohm),
-        ("solver.nu_h", config.solver.nu_h),
-        ("solver.ampere_sign_flip", config.solver.ampere_sign_flip),
-        ("solver.stop_on_negative_density", config.solver.stop_on_negative_density),
-        ("ic.kind", config.ic.kind),
-        ("ic.L", config.ic.L),
-        ("ic.base_e", config.ic.base_e),
-        ("ic.base_p", config.ic.base_p),
-        ("ic.amplitude", config.ic.amplitude),
-        ("ic.epsilon", config.ic.epsilon),
-        ("ic.mode", config.ic.mode),
-        ("output.dir", config.output.dir),
-        ("output.series_every", config.output.series_every),
-        ("output.snapshot_every", config.output.snapshot_every),
-    ]
-    if config.solver.dt is not None:
-        pairs.insert(6, ("solver.dt", config.solver.dt))
-    else:
-        pairs.insert(6, ("solver.cfl", config.solver.cfl))
-    if config.ic.path is not None:
-        pairs.append(("ic.path", config.ic.path))
-    return "\n".join(f"{name} = {_fmt_value(value)}" for name, value in pairs) + "\n"
+    """Canonical resolved-config text; parse_config(format_config(c)) == c.
+
+    One line per key in `_SCHEMA` order; unset optional keys (None) are left out.
+    """
+    lines = []
+    for section, key in _SCHEMA:
+        value = getattr(getattr(config, section), key)
+        if value is not None:
+            lines.append(f"{section}.{key} = {_fmt_value(value)}")
+    return "\n".join(lines) + "\n"

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .grid import ddx, integrate
-from .kernels import PhysicsParams, pair_factor
+from .kernels import PhysicsParams, lorentz_gamma, pair_factor
 
 
 @dataclass
@@ -49,8 +49,8 @@ SERIES_COLUMNS = tuple(f.name for f in fields(SeriesRecord))
 def total_energy(state, omega_pe_sq: float) -> tuple[float, float]:
     """Raw and rest-subtracted total energy of a state."""
     dx = state.grid.dx
-    gamma_e = np.sqrt(1.0 + state.p_e * state.p_e)
-    gamma_p = np.sqrt(1.0 + state.p_p * state.p_p)
+    gamma_e = lorentz_gamma(state.p_e)
+    gamma_p = lorentz_gamma(state.p_p)
     total = integrate(
         state.n_e * gamma_e + state.n_p * gamma_p + state.E * state.E / (2.0 * omega_pe_sq), dx
     )
@@ -83,8 +83,8 @@ def energy_balance_rhs(state, params: PhysicsParams) -> float:
 
 def make_record(state, params: PhysicsParams, initial_n_e: float) -> SeriesRecord:
     dx = state.grid.dx
-    gamma_e = np.sqrt(1.0 + state.p_e * state.p_e)
-    gamma_p = np.sqrt(1.0 + state.p_p * state.p_p)
+    gamma_e = lorentz_gamma(state.p_e)
+    gamma_p = lorentz_gamma(state.p_p)
     kin_e = integrate(state.n_e * gamma_e, dx)
     kin_p = integrate(state.n_p * gamma_p, dx)
     fld = integrate(state.E * state.E / (2.0 * params.omega_pe_sq), dx)

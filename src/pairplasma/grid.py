@@ -28,8 +28,8 @@ CHARGE_TOLERANCE = 1e-8
 class Grid1D:
     """Uniform periodic grid: half_width X, even cell count M >= 8."""
 
-    half_width: float
-    cells: int
+    half_width: float = 24000.0
+    cells: int = 2048
     dx: float = field(init=False)
     x: np.ndarray = field(init=False, repr=False, compare=False)
 

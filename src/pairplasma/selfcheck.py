@@ -8,11 +8,9 @@ one-line measurement summary.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from . import constants, kernels
 from .grid import Grid1D, ddx, integrate
@@ -49,18 +47,16 @@ def random_smooth_state(grid: Grid1D, rng: np.random.Generator, n_modes: int = 6
     )
 
 
-def fit_oscillation_frequency(t: np.ndarray, y: np.ndarray, omega_guess: float) -> float:
-    """Angular frequency of a (slightly damped) cosine signal via least squares."""
+def fit_oscillation_frequency(t: np.ndarray, y: np.ndarray) -> float:
+    """Angular frequency of a (damped) cosine sampled at uniform times.
 
-    def model(tt, amp, decay, omega, phase):
-        return amp * np.exp(-decay * tt) * np.cos(omega * tt + phase)
-
-    with warnings.catch_warnings():
-        # near-exact fits make the parameter covariance singular; only the
-        # frequency estimate is used
-        warnings.simplefilter("ignore", OptimizeWarning)
-        popt, _ = curve_fit(model, t, y, p0=[y[0], 0.0, omega_guess, 0.0], maxfev=20000)
-    return abs(popt[2])
+    Prony's method of order 2: A*exp(-g*t)*cos(w*t + phase) obeys
+    y[n+1] = c1*y[n] + c2*y[n-1] exactly, with c1 = 2r*cos(w*dt) and
+    c2 = -r^2 (r = exp(-g*dt)); c1 and c2 come from one linear least-squares
+    solve. Needs 0 < w*dt < pi.
+    """
+    (c1, c2), *_ = np.linalg.lstsq(np.column_stack((y[1:-1], y[:-2])), y[2:], rcond=None)
+    return math.acos(c1 / (2.0 * math.sqrt(-c2))) / (t[1] - t[0])
 
 
 def measure_langmuir_period(
@@ -95,7 +91,7 @@ def measure_langmuir_period(
         signal[step] = 2.0 / grid.cells * np.dot(state.E, probe)
         if step < n_steps:
             state = rk4_step(state, dt, params, opts)
-    omega_measured = fit_oscillation_frequency(times, signal, omega_theory)
+    omega_measured = fit_oscillation_frequency(times, signal)
     return 2.0 * math.pi / omega_measured, 2.0 * math.pi / omega_theory
 
 

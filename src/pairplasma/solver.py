@@ -58,7 +58,13 @@ import numpy as np
 from .diagnostics import make_record
 from .errors import InvalidParameterError, NumericalBreakdownError
 from .grid import Grid1D, bohm_potential, ddx, hyperdiffusion, integrate, poisson_init_E
-from .kernels import PhysicsParams, pair_factor, recombination_momentum_exchange
+from .kernels import (
+    PhysicsParams,
+    lorentz_gamma,
+    pair_factor,
+    recombination_loss,
+    recombination_momentum_exchange,
+)
 from .output import read_snapshot
 
 # Hard step-size ceiling: signal speeds never exceed c = 1 in these units.
@@ -202,30 +208,32 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions):
     if opts.stop_on_negative_density or opts.bohm or params.a != 0.0:
         _check_positive_densities(state)
     dx = state.grid.dx
-    w2 = params.omega_pe_sq
 
-    gamma_e = np.sqrt(1.0 + state.p_e * state.p_e)
-    gamma_p = np.sqrt(1.0 + state.p_p * state.p_p)
+    gamma_e = lorentz_gamma(state.p_e)
+    gamma_p = lorentz_gamma(state.p_p)
     flux_e = state.n_e * (state.p_e / gamma_e)
     flux_p = state.n_p * (state.p_p / gamma_p)
 
     phi = pair_factor(state.E, params.N0, params.eps_field)
     q0 = state.E * state.E * phi
+    dn_e = -ddx(flux_e, dx) + q0
+    dn_p = -ddx(flux_p, dx) + q0
+    current = flux_e - flux_p
+
     if opts.displacement_terms:
         e_phi = state.E * phi
         disp_e = gamma_e * e_phi
         disp_p = gamma_p * e_phi
-    else:
-        disp_e = np.zeros_like(state.E)
-        disp_p = np.zeros_like(state.E)
+        dn_e = dn_e + ddx(disp_e, dx)
+        dn_p = dn_p - ddx(disp_p, dx)
+        sign = 1.0 if opts.ampere_sign_flip else -1.0
+        current = current + sign * (disp_e + disp_p)
 
-    dn_e = -ddx(flux_e, dx) + q0 + ddx(disp_e, dx)
-    dn_p = -ddx(flux_p, dx) + q0 - ddx(disp_p, dx)
     dp_e = -ddx(gamma_e, dx) - state.E
     dp_p = -ddx(gamma_p, dx) + state.E
 
     if params.a != 0.0:
-        loss = params.a * (state.n_e * state.n_p)
+        loss = recombination_loss(state.n_e, state.n_p, params.a)
         dn_e = dn_e - loss
         dn_p = dn_p - loss
         dp_e = dp_e + recombination_momentum_exchange(state.p_e, state.p_p, state.n_p, params.a)
@@ -241,9 +249,7 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions):
         dp_e = dp_e + hyperdiffusion(state.p_e, opts.nu_h)
         dp_p = dp_p + hyperdiffusion(state.p_p, opts.nu_h)
 
-    sign = 1.0 if opts.ampere_sign_flip else -1.0
-    dE = w2 * ((flux_e - flux_p) + sign * (disp_e + disp_p))
-    return dE, dn_e, dn_p, dp_e, dp_p
+    return params.omega_pe_sq * current, dn_e, dn_p, dp_e, dp_p
 
 
 def _shifted(state: SimState, deriv, h: float) -> SimState:

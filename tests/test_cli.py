@@ -90,8 +90,9 @@ class TestRunCommand:
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    # the package does not use scipy, `check` included
     code = (
-        "import sys, pairplasma.cli\n"
+        "import sys, pairplasma.cli, pairplasma.selfcheck\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     src = str(Path(pairplasma.__file__).parents[1])

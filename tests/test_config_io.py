@@ -21,6 +21,32 @@ from pairplasma.solver import InitialCondition, initial_condition
 
 PARAMS = PhysicsParams(N0=0.2, alpha=1.0 / 137.0)
 
+DEFAULT_CONFIG_TEXT = """\
+physics.N0 = 0.2
+physics.alpha = 0.0072973525693
+physics.a = 0.0
+physics.eps_field = 1e-08
+grid.half_width = 24000.0
+grid.cells = 2048
+solver.cfl = 0.4
+solver.t_end = 1500.0
+solver.displacement_terms = on
+solver.bohm = off
+solver.nu_h = 0.0
+solver.ampere_sign_flip = off
+solver.stop_on_negative_density = off
+ic.kind = gaussian
+ic.L = 6000.0
+ic.base_e = 1.01
+ic.base_p = 0.01
+ic.amplitude = 2.0
+ic.epsilon = 1e-06
+ic.mode = 2
+output.dir = out
+output.series_every = 1
+output.snapshot_every = 40
+"""
+
 
 class TestParseConfig:
     def test_empty_text_gives_documented_defaults(self):
@@ -118,14 +144,21 @@ class TestFormatConfig:
         assert parse_config(format_config(cfg)) == cfg
 
     def test_round_trip_with_overrides(self):
-        cfg = parse_config(
+        overrides = (
             "solver.dt = 3.25\nphysics.a = 0.125\nic.kind = sine\nic.mode = 4\n"
-            "output.dir = elsewhere\nsolver.ampere_sign_flip = on\n"
+            "output.dir = elsewhere\nsolver.ampere_sign_flip = on\n",
+            "ic.kind = file\nic.path = x.csv\n",  # the only optional string key
         )
-        text = format_config(cfg)
-        assert parse_config(text) == cfg
+        for override in overrides:
+            cfg = parse_config(override)
+            assert parse_config(format_config(cfg)) == cfg
+        text = format_config(parse_config(overrides[0]))
         assert "solver.dt = 3.25" in text
         assert "solver.cfl" not in text
+
+    def test_default_text_is_pinned(self):
+        # this text goes into every manifest.json; it must not drift
+        assert format_config(RunConfig()) == DEFAULT_CONFIG_TEXT
 
 
 class TestSeriesFile:

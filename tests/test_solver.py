@@ -11,7 +11,11 @@ import pairplasma.solver as sv
 from pairplasma.errors import InvalidParameterError, NumericalBreakdownError
 from pairplasma.grid import Grid1D, ddx
 from pairplasma.kernels import PhysicsParams, pair_factor
-from pairplasma.selfcheck import measure_langmuir_period, random_smooth_state
+from pairplasma.selfcheck import (
+    fit_oscillation_frequency,
+    measure_langmuir_period,
+    random_smooth_state,
+)
 from pairplasma.solver import (
     InitialCondition,
     SimState,
@@ -229,6 +233,21 @@ class TestRk4Step:
         rk4_step(state, 0.4 * grid.dx, PARAMS, opts)
         assert len(calls) == 1 + 4
 
+    @pytest.mark.parametrize("displacement_terms, expected", [(False, 4), (True, 6)])
+    def test_ddx_calls_per_rhs(self, monkeypatch, displacement_terms, expected):
+        # with the displacement terms off no derivative of an all-zero flux is taken
+        calls = []
+
+        def counted(f, dx):
+            calls.append(1)
+            return ddx(f, dx)
+
+        monkeypatch.setattr(sv, "ddx", counted)
+        grid = Grid1D(half_width=24000.0, cells=64)
+        state = random_smooth_state(grid, np.random.default_rng(2))
+        rhs(state, PARAMS, SolverOptions(t_end=1.0, displacement_terms=displacement_terms))
+        assert len(calls) == expected
+
     def test_mirror_equivariance_is_bit_exact(self):
         rng = np.random.default_rng(5)
         grid = Grid1D(half_width=24000.0, cells=128)
@@ -366,3 +385,10 @@ class TestLinearDispersion:
             cells=128, half_width=1280.0, dt=5.0, n_periods=3.0, params=PARAMS
         )
         assert measured == pytest.approx(theory, rel=2e-4)
+
+    @pytest.mark.parametrize("decay", [0.0, 2e-3])
+    def test_frequency_fit_is_exact_on_a_damped_cosine(self, decay):
+        t = 2.0 * np.arange(400)
+        omega = 0.3
+        y = 1.7 * np.exp(-decay * t) * np.cos(omega * t + 0.4)
+        assert fit_oscillation_frequency(t, y) == pytest.approx(omega, rel=1e-10)
