@@ -43,6 +43,7 @@ from .solver import (
     RunResult,
     SimState,
     SolverOptions,
+    Workspace,
     initial_condition,
     rhs,
     rk4_step,

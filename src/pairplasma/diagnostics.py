@@ -69,22 +69,34 @@ def gauss_residual(state, omega_pe_sq: float) -> float:
     return float(np.max(np.abs(res)))
 
 
-def energy_balance_rhs(state, params: PhysicsParams) -> float:
+def energy_balance_rhs(state, params: PhysicsParams, phi=None) -> float:
     """Exact semi-discrete d(E_tot)/dt when displacement terms are on and a = 0.
 
     q0/E = E * phi uses the solver's guarded pair factor, so the integrand
-    vanishes identically where the field is negligible.
+    vanishes identically where the field is negligible. `phi` may be passed
+    in when the caller already holds it for this state.
     """
     dx = state.grid.dx
-    q0_over_e = state.E * pair_factor(state.E, params.N0, params.eps_field)
+    if phi is None:
+        phi = pair_factor(state.E, params.N0, params.eps_field)
+    q0_over_e = state.E * phi
     gamma_sq_diff = state.p_e * state.p_e - state.p_p * state.p_p  # g^2 = 1 + p^2
     return -integrate(0.5 * q0_over_e * ddx(gamma_sq_diff, dx), dx)
 
 
-def make_record(state, params: PhysicsParams, initial_n_e: float) -> SeriesRecord:
+def make_record(
+    state, params: PhysicsParams, initial_n_e: float, gamma_e=None, gamma_p=None, phi=None
+) -> SeriesRecord:
+    """One series row for `state`.
+
+    gamma_e, gamma_p and phi = exp(-pi/|E|)/N0 may be passed in when the
+    caller already holds them for this state (the solver computes them once
+    per step); otherwise they are computed here.
+    """
     dx = state.grid.dx
-    gamma_e = lorentz_gamma(state.p_e)
-    gamma_p = lorentz_gamma(state.p_p)
+    if gamma_e is None:
+        gamma_e = lorentz_gamma(state.p_e)
+        gamma_p = lorentz_gamma(state.p_p)
     kin_e = integrate(state.n_e * gamma_e, dx)
     kin_p = integrate(state.n_p * gamma_p, dx)
     fld = integrate(state.E * state.E / (2.0 * params.omega_pe_sq), dx)
@@ -100,5 +112,5 @@ def make_record(state, params: PhysicsParams, initial_n_e: float) -> SeriesRecor
         max_abs_E=float(np.max(np.abs(state.E))),
         max_gamma=float(max(np.max(gamma_e), np.max(gamma_p))),
         gauss_residual=gauss_residual(state, params.omega_pe_sq),
-        balance_rhs=energy_balance_rhs(state, params),
+        balance_rhs=energy_balance_rhs(state, params, phi),
     )

@@ -5,11 +5,15 @@ with dx = 2X/M. The open-domain physics (fields vanishing at infinity) is
 emulated by choosing X several envelope widths wide, so wrap-around values
 are negligible.
 
-Derivatives are fourth-order central differences, read as slices of one copy
-of the field padded with two periodic ghost cells per side. Stencils are
-written as symmetric pair differences/sums, which makes the discrete system
-exactly equivariant under the mirror transform x -> -x (bit-for-bit, not
-just to truncation error). Reductions use numpy's pairwise summation, which is
+Derivatives are fourth-order central differences, read as slices of a buffer
+holding the field plus two periodic ghost cells per side, and computed
+with in-place arithmetic into an output array. The public operators copy
+their input into a new padded buffer; the solver keeps persistent padded
+buffers and writes its fields straight into their interiors, so each
+derivative only refreshes four ghost cells. Both forms run the same code.
+Stencils are written as symmetric pair differences/sums, which makes the
+discrete system exactly equivariant under the mirror transform x -> -x
+(bit-for-bit, not just to truncation error). Reductions use numpy's pairwise summation, which is
 deterministic for a fixed array, so repeated runs are byte-identical.
 """
 
@@ -46,23 +50,67 @@ class Grid1D:
         return 2.0 * self.half_width
 
 
-def _neighbours(f: np.ndarray):
-    """Periodic neighbours (f[j+1], f[j-1], f[j+2], f[j-2]) as slices of one padded copy."""
-    m = len(f)
-    g = np.concatenate((f[-2:], f, f[:2]))  # g[j + 2] == f[j]
-    return g[3 : m + 3], g[1 : m + 1], g[4:], g[:m]
+def padded(f: np.ndarray) -> np.ndarray:
+    """New buffer of M + 4 values holding f in its interior: g[j + 2] == f[j].
+
+    The two ghost cells per side are left unset; the stencils fill them.
+    """
+    g = np.empty(len(f) + 4)
+    g[2:-2] = f
+    return g
 
 
-def ddx(f: np.ndarray, dx: float) -> np.ndarray:
-    """Fourth-order periodic first derivative."""
-    right1, left1, right2, left2 = _neighbours(f)
-    return (8.0 * (right1 - left1) - (right2 - left2)) / (12.0 * dx)
+def _neighbours(g: np.ndarray):
+    """Fill the periodic ghost cells of padded buffer g from its interior, then
+    return the interior f and f[j+1], f[j-1], f[j+2], f[j-2] as slices of g."""
+    m = len(g) - 4
+    g[:2] = g[m : m + 2]
+    g[m + 2 :] = g[2:4]
+    return g[2 : m + 2], g[3 : m + 3], g[1 : m + 1], g[4:], g[:m]
 
 
-def d2dx2(f: np.ndarray, dx: float) -> np.ndarray:
-    """Fourth-order periodic second derivative."""
-    right1, left1, right2, left2 = _neighbours(f)
-    return (16.0 * (right1 + left1) - (right2 + left2) - 30.0 * f) / (12.0 * dx * dx)
+def _stencil_buffers(f, out, tmp):
+    """Padded input, output and scratch for one stencil.
+
+    Public form (out is None): f holds the M field values and is copied into
+    a new padded buffer, and the result is a new array. In-place form: f is a
+    padded buffer (see `padded`) whose interior holds the field, and only its
+    four ghost cells are written. `tmp` is scratch of M values, allocated
+    when not given.
+    """
+    g = padded(f) if out is None else f
+    m = len(g) - 4
+    return g, np.empty(m) if out is None else out, np.empty(m) if tmp is None else tmp
+
+
+def ddx(f: np.ndarray, dx: float, out=None, tmp=None) -> np.ndarray:
+    """Fourth-order periodic first derivative (8 (f[j+1]-f[j-1]) - (f[j+2]-f[j-2])) / (12 dx).
+
+    `ddx(f, dx)` leaves f unchanged; `ddx(g, dx, out=, tmp=)` reads padded
+    buffer g and writes into `out` (see `_stencil_buffers`).
+    """
+    g, out, tmp = _stencil_buffers(f, out, tmp)
+    _, right1, left1, right2, left2 = _neighbours(g)
+    np.subtract(right1, left1, out=out)
+    out *= 8.0
+    np.subtract(right2, left2, out=tmp)
+    out -= tmp
+    out /= 12.0 * dx
+    return out
+
+
+def d2dx2(f: np.ndarray, dx: float, out=None, tmp=None) -> np.ndarray:
+    """Fourth-order periodic second derivative; arguments as for `ddx`."""
+    g, out, tmp = _stencil_buffers(f, out, tmp)
+    centre, right1, left1, right2, left2 = _neighbours(g)
+    np.add(right1, left1, out=out)
+    out *= 16.0
+    np.add(right2, left2, out=tmp)
+    out -= tmp
+    np.multiply(centre, 30.0, out=tmp)
+    out -= tmp
+    out /= 12.0 * dx * dx
+    return out
 
 
 def integrate(f: np.ndarray, dx: float) -> float:
@@ -70,24 +118,46 @@ def integrate(f: np.ndarray, dx: float) -> float:
     return float(dx * np.sum(f))
 
 
-def hyperdiffusion(f: np.ndarray, nu_h: float) -> np.ndarray:
+def hyperdiffusion(f: np.ndarray, nu_h: float, out=None, tmp=None) -> np.ndarray:
     """Fourth-difference damping -nu_h * (f_{j+2} - 4 f_{j+1} + 6 f_j - 4 f_{j-1} + f_{j-2}).
 
     Optional stabilizer against cold-fluid wave steepening; exact zero for
-    nu_h = 0 and for constant fields.
+    nu_h = 0 and for constant fields. Arguments as for `ddx`.
     """
-    if nu_h == 0.0:
+    if nu_h == 0.0 and out is None:
         return np.zeros_like(f)
-    right1, left1, right2, left2 = _neighbours(f)
-    return -nu_h * ((right2 + left2) - 4.0 * (right1 + left1) + 6.0 * f)
+    g, out, tmp = _stencil_buffers(f, out, tmp)
+    centre, right1, left1, right2, left2 = _neighbours(g)
+    np.add(right2, left2, out=out)
+    np.add(right1, left1, out=tmp)
+    tmp *= 4.0
+    out -= tmp
+    np.multiply(centre, 6.0, out=tmp)
+    out += tmp
+    out *= -nu_h
+    return out
 
 
-def bohm_potential(n: np.ndarray, gamma: np.ndarray, dx: float) -> np.ndarray:
-    """Quantum dispersion potential (n/gamma)^{-1/2} d2/dx2 (n/gamma)^{1/2} (spatial part)."""
-    if (np.asarray(n) <= 0.0).any():
-        raise InvalidStateError("density must be strictly positive for the Bohm potential")
-    s = np.sqrt(n / gamma)
-    return d2dx2(s, dx) / s
+def bohm_potential(n: np.ndarray, gamma: np.ndarray, dx: float, out=None, s=None, tmp=None):
+    """Quantum dispersion potential (n/gamma)^{-1/2} d2/dx2 (n/gamma)^{1/2} (spatial part).
+
+    `bohm_potential(n, gamma, dx)` checks that n > 0 and returns a new array.
+    In-place form, for a caller that has already stopped on n <= 0: `out`
+    and `s` are padded buffers, s receives (n/gamma)^{1/2}, and the potential
+    is written into the interior of `out`, which is returned ready for
+    `ddx(out, dx, out=..., tmp=...)`.
+    """
+    public = out is None
+    if public:
+        if (np.asarray(n) <= 0.0).any():
+            raise InvalidStateError("density must be strictly positive for the Bohm potential")
+        out, s = np.empty(len(n) + 4), np.empty(len(n) + 4)
+    root = s[2:-2]
+    np.divide(n, gamma, out=root)
+    np.sqrt(root, out=root)
+    potential = d2dx2(s, dx, out=out[2:-2], tmp=tmp)
+    potential /= root
+    return potential if public else out
 
 
 def poisson_init_E(

@@ -26,6 +26,10 @@ from .errors import InvalidParameterError, InvalidStateError
 # guard only removes 0/0 and spurious signs at E = 0.
 DEFAULT_EPS_FIELD = 1e-8
 
+# exp(x) rounds to exactly 0 for x below about -745.13, so exp(-pi/|E|) is
+# exactly 0 for every |E| < pi/746.
+UNDERFLOW_FIELD = math.pi / 746.0
+
 # SI prefactor of the pair creation rate, pairs / (m^3 s): c / ((2*pi)^3 lambda^4).
 SI_RATE_PREFACTOR = constants.C / ((2.0 * math.pi) ** 3 * constants.COMPTON_LENGTH**4)
 
@@ -83,23 +87,37 @@ def _maybe_scalar(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def lorentz_gamma(p):
-    """Relativistic gamma factor sqrt(1 + p^2) for momentum in units of m_e*c."""
+def lorentz_gamma(p, out=None):
+    """Relativistic gamma factor sqrt(1 + p^2) for momentum in units of m_e*c.
+
+    Writes into `out` when given.
+    """
     p = np.asarray(p, dtype=np.float64)
-    return _maybe_scalar(np.sqrt(1.0 + p * p))
+    g = np.multiply(p, p, out=np.empty(p.shape) if out is None else out)
+    g += 1.0
+    return _maybe_scalar(np.sqrt(g, out=g))
 
 
-def pair_factor(E, N0: float, eps_field: float):
+def pair_factor(E, N0: float, eps_field: float, out=None):
     """Guarded factor phi = exp(-pi / |E|) / N0 shared by q0 and the displacement flux.
 
     q0 = E^2 * phi and D_s = g_s * (E * phi). Exact zero below the eps_field
-    guard and wherever the exponential underflows. Does no validation: the
-    solver checks its state once per stage, the public kernels check their
-    own arguments.
+    guard and wherever the exponential underflows. The exponential is only
+    evaluated where |E| >= max(eps_field, UNDERFLOW_FIELD): below
+    UNDERFLOW_FIELD its argument is below -746, where exp rounds to exactly
+    0, so skipping those cells (numpy's exp is slow on them) changes no bit
+    of the result. NaN cells are evaluated like any other. Does no
+    validation: the solver checks its state once per stage, the public
+    kernels check their own arguments. Writes into `out` when given.
     """
     abs_e = np.abs(E)
-    weak = abs_e < eps_field
-    return np.where(weak, 0.0, np.exp(-np.pi / np.where(weak, 1.0, abs_e)) / N0)
+    live = ~(abs_e < max(eps_field, UNDERFLOW_FIELD))
+    phi = np.empty(abs_e.shape) if out is None else out
+    phi.fill(0.0)
+    np.divide(-np.pi, abs_e, out=phi, where=live)
+    np.exp(phi, out=phi, where=live)
+    phi /= N0
+    return phi
 
 
 def schwinger_rate_norm(E, N0: float, eps_field: float = DEFAULT_EPS_FIELD):

@@ -15,7 +15,15 @@ import numpy as np
 from . import constants, kernels
 from .grid import Grid1D, ddx, integrate
 from .kernels import PhysicsParams
-from .solver import InitialCondition, SimState, SolverOptions, initial_condition, rhs, rk4_step
+from .solver import (
+    InitialCondition,
+    SimState,
+    SolverOptions,
+    Workspace,
+    initial_condition,
+    rhs,
+    rk4_step,
+)
 
 
 @dataclass
@@ -78,6 +86,7 @@ def measure_langmuir_period(
     ic = InitialCondition(kind="sine", epsilon=1e-6, mode=mode, base_e=1.01, base_p=0.01)
     opts = SolverOptions(dt=dt, t_end=0.0)
     state = initial_condition(ic, grid, params)
+    work = Workspace(grid.cells)
 
     omega_theory = math.sqrt(params.omega_pe_sq * (ic.base_e + ic.base_p))
     k = math.pi * mode / grid.half_width
@@ -90,7 +99,7 @@ def measure_langmuir_period(
         times[step] = state.t
         signal[step] = 2.0 / grid.cells * np.dot(state.E, probe)
         if step < n_steps:
-            state = rk4_step(state, dt, params, opts)
+            state = rk4_step(state, dt, params, opts, work)
     omega_measured = fit_oscillation_frequency(times, signal)
     return 2.0 * math.pi / omega_measured, 2.0 * math.pi / omega_theory
 

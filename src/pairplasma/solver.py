@@ -35,18 +35,33 @@ n <= 0 as a hard stop instead. The Bohm and recombination terms are
 undefined at n <= 0, so with either on the same stop applies. No clamping
 or smoothing is ever applied.
 
-Finite checks run in two places: `rhs` scans its input, which covers every
-RK4 stage state, and `rk4_step` scans the state it returns. Derivatives are
-not scanned on their own, because a non-finite derivative makes the next
-stage state or the step result non-finite. Either check raises
-NumericalBreakdownError with the time and the first offending cell.
+Finite checks run on every state the integrator evaluates, each once.
+`initial_condition` scans the initial state and `rk4_step` scans the state
+it returns; `rhs` scans its input unless its workspace already holds that
+state's gamma and phi (below), which is the case for stage 1 of every step
+in a run, a state one of those two scans just covered. So a step makes
+four scans: the inputs of stages 2-4 and its result. Derivatives are not
+scanned on their own, because a non-finite derivative makes the next stage
+state or the step result non-finite. Each check raises
+NumericalBreakdownError with the time and the first offending cell. With
+the Bohm term, recombination or `stop_on_negative_density` on, `rhs` also
+checks n > 0 once per stage; the Bohm potential is then evaluated without
+a second density scan.
 
-Each stage evaluates the guarded factor phi = exp(-pi/|E|)/N0
-(`kernels.pair_factor`) once and shares it: q0 = E^2 phi and
-D_s = g_s (E phi).
+Each stage evaluates gamma_s and the guarded factor phi = exp(-pi/|E|)/N0
+(`kernels.pair_factor`) once and shares them: q0 = E^2 phi and
+D_s = g_s (E phi). For the state a step returns they are computed once
+(`Workspace.prime`) and used by both its series record and the next step's
+stage 1.
 
-A single run owns its state; `rhs` itself is pure and may be evaluated
-concurrently on snapshots.
+`run` allocates one `Workspace` after `initial_condition` and steps through
+it: padded stencil buffers, the four RK4 derivatives and the stage states
+are reused by every stage of every step, with results bit-identical to
+evaluating each formula into new arrays. A workspace belongs to one run
+(or one caller) and is not shared. `rk4_step` still returns a state of new
+arrays, so states and snapshots never alias the workspace. `rhs` and
+`rk4_step` called without a workspace build a fresh one, so they stay pure
+and may be evaluated concurrently on snapshots.
 """
 
 import math
@@ -196,95 +211,159 @@ def _check_positive_densities(state: SimState):
         )
 
 
-def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions):
+class Workspace:
+    """Buffers for the RK4 steps of one run on one grid size, allocated once.
+
+    rhs writes gamma_e and gamma_p, and in turn the fluxes n_s p_s/g_s, the
+    displacement fluxes D_s and the Bohm and hyperdiffusion inputs, into the
+    interiors of padded buffers (M + 4 values, see `grid.padded`), so each
+    derivative refreshes only four ghost cells. The RK4 derivatives and stage
+    states live here too. `primed` is the state whose gamma_e, gamma_p and
+    phi the buffers hold; rhs reuses them for that state instead of
+    recomputing them and rescanning it. The solver never writes into a
+    state's arrays, so the state object identifies its values.
+    """
+
+    def __init__(self, cells: int):
+        def fields_():
+            return tuple(np.empty(cells) for _ in range(5))
+
+        self.gamma_e, self.gamma_p, self.pad_e, self.pad_p = (np.empty(cells + 4) for _ in range(4))
+        self.phi, self.tmp, self.scratch = np.empty(cells), np.empty(cells), np.empty(cells)
+        self.k = fields_(), fields_(), fields_()
+        self.stage = fields_()
+        self.primed = None
+
+    def prime(self, state: SimState, params: PhysicsParams):
+        """Compute gamma_e, gamma_p and phi of `state`, which must be known finite."""
+        lorentz_gamma(state.p_e, out=self.gamma_e[2:-2])
+        lorentz_gamma(state.p_p, out=self.gamma_p[2:-2])
+        pair_factor(state.E, params.N0, params.eps_field, out=self.phi)
+        self.primed = state
+
+    def derived(self) -> dict:
+        """gamma_e, gamma_p and phi of the primed state, as `make_record` keywords."""
+        return {"gamma_e": self.gamma_e[2:-2], "gamma_p": self.gamma_p[2:-2], "phi": self.phi}
+
+
+def _fields(state: SimState):
+    return state.E, state.n_e, state.n_p, state.p_e, state.p_p
+
+
+def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, out=None):
     """Time derivatives (dE, dn_e, dn_p, dp_e, dp_p) of the semi-discrete system.
 
-    Checks that its input is finite; the derivatives themselves are not
-    scanned (rk4_step scans the state it returns).
+    Checks that its input is finite unless `work` is primed for this state;
+    the derivatives themselves are not scanned (rk4_step scans the state it
+    returns). Uses a new Workspace when `work` is None, and writes into the
+    five arrays `out` when given, else into new ones.
     """
-    _check_fields(state.t, state.E, state.n_e, state.n_p, state.p_e, state.p_p)
+    if work is None:
+        work = Workspace(state.grid.cells)
+    if work.primed is not state:
+        _check_fields(state.t, *_fields(state))
+        work.prime(state, params)
     # Bohm and recombination are undefined for n <= 0: stop as a breakdown
     # (with t and cell) rather than fail inside their kernels.
     if opts.stop_on_negative_density or opts.bohm or params.a != 0.0:
         _check_positive_densities(state)
+    if out is None:
+        out = tuple(np.empty(state.grid.cells) for _ in range(5))
+    dE, dn_e, dn_p, dp_e, dp_p = out
     dx = state.grid.dx
+    E = state.E
+    tmp, scratch, pad_e, pad_p = work.tmp, work.scratch, work.pad_e, work.pad_p
+    gamma_e, gamma_p = work.gamma_e[2:-2], work.gamma_p[2:-2]
 
-    gamma_e = lorentz_gamma(state.p_e)
-    gamma_p = lorentz_gamma(state.p_p)
-    flux_e = state.n_e * (state.p_e / gamma_e)
-    flux_p = state.n_p * (state.p_p / gamma_p)
-
-    phi = pair_factor(state.E, params.N0, params.eps_field)
-    q0 = state.E * state.E * phi
-    dn_e = -ddx(flux_e, dx) + q0
-    dn_p = -ddx(flux_p, dx) + q0
-    current = flux_e - flux_p
+    flux_e = np.divide(state.p_e, gamma_e, out=pad_e[2:-2])
+    flux_e *= state.n_e
+    flux_p = np.divide(state.p_p, gamma_p, out=pad_p[2:-2])
+    flux_p *= state.n_p
+    current = np.subtract(flux_e, flux_p, out=dE)
+    q0 = np.multiply(E, E, out=scratch)
+    q0 *= work.phi
+    np.subtract(q0, ddx(pad_e, dx, out=dn_e, tmp=tmp), out=dn_e)
+    np.subtract(q0, ddx(pad_p, dx, out=dn_p, tmp=tmp), out=dn_p)
 
     if opts.displacement_terms:
-        e_phi = state.E * phi
-        disp_e = gamma_e * e_phi
-        disp_p = gamma_p * e_phi
-        dn_e = dn_e + ddx(disp_e, dx)
-        dn_p = dn_p - ddx(disp_p, dx)
-        sign = 1.0 if opts.ampere_sign_flip else -1.0
-        current = current + sign * (disp_e + disp_p)
+        e_phi = np.multiply(E, work.phi, out=scratch)
+        disp_e = np.multiply(gamma_e, e_phi, out=pad_e[2:-2])
+        disp_p = np.multiply(gamma_p, e_phi, out=pad_p[2:-2])
+        disp = np.add(disp_e, disp_p, out=scratch)
+        if opts.ampere_sign_flip:
+            current += disp
+        else:
+            current -= disp
+        dn_e += ddx(pad_e, dx, out=scratch, tmp=tmp)
+        dn_p -= ddx(pad_p, dx, out=scratch, tmp=tmp)
+    current *= params.omega_pe_sq
 
-    dp_e = -ddx(gamma_e, dx) - state.E
-    dp_p = -ddx(gamma_p, dx) + state.E
+    np.negative(ddx(work.gamma_e, dx, out=dp_e, tmp=tmp), out=dp_e)
+    dp_e -= E
+    np.subtract(E, ddx(work.gamma_p, dx, out=dp_p, tmp=tmp), out=dp_p)
 
     if params.a != 0.0:
         loss = recombination_loss(state.n_e, state.n_p, params.a)
-        dn_e = dn_e - loss
-        dn_p = dn_p - loss
-        dp_e = dp_e + recombination_momentum_exchange(state.p_e, state.p_p, state.n_p, params.a)
-        dp_p = dp_p + recombination_momentum_exchange(state.p_p, state.p_e, state.n_e, params.a)
+        dn_e -= loss
+        dn_p -= loss
+        dp_e += recombination_momentum_exchange(state.p_e, state.p_p, state.n_p, params.a)
+        dp_p += recombination_momentum_exchange(state.p_p, state.p_e, state.n_e, params.a)
 
     if opts.bohm:
-        dp_e = dp_e + 0.5 * ddx(bohm_potential(state.n_e, gamma_e, dx), dx)
-        dp_p = dp_p + 0.5 * ddx(bohm_potential(state.n_p, gamma_p, dx), dx)
+        for n, gamma, dp in ((state.n_e, gamma_e, dp_e), (state.n_p, gamma_p, dp_p)):
+            potential = bohm_potential(n, gamma, dx, out=pad_e, s=pad_p, tmp=tmp)
+            force = ddx(potential, dx, out=scratch, tmp=tmp)
+            force *= 0.5
+            dp += force
 
     if opts.nu_h != 0.0:
-        dn_e = dn_e + hyperdiffusion(state.n_e, opts.nu_h)
-        dn_p = dn_p + hyperdiffusion(state.n_p, opts.nu_h)
-        dp_e = dp_e + hyperdiffusion(state.p_e, opts.nu_h)
-        dp_p = dp_p + hyperdiffusion(state.p_p, opts.nu_h)
+        for f, df in ((state.n_e, dn_e), (state.n_p, dn_p), (state.p_e, dp_e), (state.p_p, dp_p)):
+            pad_e[2:-2] = f
+            df += hyperdiffusion(pad_e, opts.nu_h, out=scratch, tmp=tmp)
 
-    return params.omega_pe_sq * current, dn_e, dn_p, dp_e, dp_p
-
-
-def _shifted(state: SimState, deriv, h: float) -> SimState:
-    dE, dn_e, dn_p, dp_e, dp_p = deriv
-    return SimState(
-        state.grid,
-        state.t + h,
-        state.E + h * dE,
-        state.n_e + h * dn_e,
-        state.n_p + h * dn_p,
-        state.p_e + h * dp_e,
-        state.p_p + h * dp_p,
-    )
+    return out
 
 
-def rk4_step(state: SimState, dt: float, params: PhysicsParams, opts: SolverOptions) -> SimState:
+def _stage(state: SimState, deriv, h: float, work: Workspace) -> SimState:
+    """The RK4 stage state u + h*k, in the workspace's stage buffers."""
+    for s, u, k in zip(work.stage, _fields(state), deriv):
+        np.multiply(k, h, out=s)
+        s += u
+    return SimState(state.grid, state.t + h, *work.stage)
+
+
+def rk4_step(
+    state: SimState, dt: float, params: PhysicsParams, opts: SolverOptions, work=None
+) -> SimState:
     """One classical Runge-Kutta step of all five fields; bit-reproducible.
 
-    Raises NumericalBreakdownError if any stage state or the returned state
-    holds a non-finite value.
+    Steps through `work` (a new Workspace when None) and returns a state of
+    new arrays. Raises NumericalBreakdownError if any stage state or the
+    returned state holds a non-finite value.
     """
     if not (0.0 < dt <= CFL_MAX * state.grid.dx * (1.0 + 1e-12)):
         raise InvalidParameterError(
             f"dt = {dt} violates the step bound dt <= {CFL_MAX}*dx = {CFL_MAX * state.grid.dx}"
         )
-    k1 = rhs(state, params, opts)
-    k2 = rhs(_shifted(state, k1, 0.5 * dt), params, opts)
-    k3 = rhs(_shifted(state, k2, 0.5 * dt), params, opts)
-    k4 = rhs(_shifted(state, k3, dt), params, opts)
+    if work is None:
+        work = Workspace(state.grid.cells)
+    slot_a, slot_b, slot_c = work.k
+    half = 0.5 * dt
+    k1 = rhs(state, params, opts, work, out=slot_a)
+    k2 = rhs(_stage(state, k1, half, work), params, opts, work, out=slot_b)
+    k3 = rhs(_stage(state, k2, half, work), params, opts, work, out=slot_c)
+    for b, c in zip(k2, k3):
+        b += c
+    k4 = rhs(_stage(state, k3, dt, work), params, opts, work, out=slot_c)
+    # u + dt/6 * ((k1 + k4) + 2 (k2 + k3)) in this order, accumulated in k1's and k2's slots
     sixth = dt / 6.0
     fields_ = []
-    for u, a, b, c, d in zip(
-        (state.E, state.n_e, state.n_p, state.p_e, state.p_p), k1, k2, k3, k4
-    ):
-        fields_.append(u + sixth * ((a + d) + 2.0 * (b + c)))
+    for u, a, bc, d in zip(_fields(state), k1, k2, k4):
+        a += d
+        bc *= 2.0
+        a += bc
+        a *= sixth
+        fields_.append(u + a)
     _check_fields(state.t + dt, *fields_)
     return SimState(state.grid, state.t + dt, *fields_)
 
@@ -350,18 +429,22 @@ def run(config) -> RunResult:
     state = initial_condition(config.ic, grid, params)
     n_steps, dt = _plan_steps(opts, grid.dx)
     initial_n_e = integrate(state.n_e, grid.dx)
+    work = Workspace(grid.cells)
+    work.prime(state, params)
 
-    records = [make_record(state, params, initial_n_e)]
-    snapshots = [(0, state.copy())]
+    records = [make_record(state, params, initial_n_e, **work.derived())]
+    snapshots = [(0, state)]
     snap_index = 1
     try:
         for step in range(1, n_steps + 1):
-            state = rk4_step(state, dt, params, opts)
+            state = rk4_step(state, dt, params, opts, work)
+            # gamma and phi of the new state, shared by its record and the next step's stage 1
+            work.prime(state, params)
             last = step == n_steps
             if (series_every and step % series_every == 0) or last:
-                records.append(make_record(state, params, initial_n_e))
+                records.append(make_record(state, params, initial_n_e, **work.derived()))
             if (snapshot_every and step % snapshot_every == 0) or last:
-                snapshots.append((snap_index, state.copy()))
+                snapshots.append((snap_index, state))
                 snap_index += 1
     except NumericalBreakdownError as err:
         err.records = records

@@ -15,6 +15,7 @@ from pairplasma.grid import (
     ddx,
     hyperdiffusion,
     integrate,
+    padded,
     poisson_init_E,
 )
 from pairplasma.kernels import PhysicsParams
@@ -196,6 +197,35 @@ class TestRollReference:
             if "np.roll" in line
         ]
         assert offenders == []
+
+
+class TestInPlaceForm:
+    """Padded buffers and out= give the public results bit for bit, whatever the ghost cells held."""
+
+    def test_matches_public_form(self):
+        rng = np.random.default_rng(11)
+        grid = Grid1D(half_width=3.0, cells=64)
+        out, tmp = np.empty(64), np.empty(64)
+        for _ in range(3):
+            f = rng.normal(scale=rng.uniform(1e-3, 1e3), size=64)
+            g = padded(f)
+            for op, args in ((ddx, (grid.dx,)), (d2dx2, (grid.dx,)), (hyperdiffusion, (0.37,))):
+                g[:2] = g[-2:] = np.nan  # stale ghost cells are refreshed
+                assert op(g, *args, out=out, tmp=tmp) is out
+                assert np.array_equal(out, op(f, *args))
+                assert np.array_equal(g[2:-2], f)
+
+    def test_bohm_potential_in_place(self):
+        rng = np.random.default_rng(12)
+        grid = Grid1D(half_width=3.0, cells=64)
+        n = 1.0 + 0.5 * np.sin(2.0 * np.pi * grid.x / grid.length) + 0.01 * rng.random(64)
+        gamma = 1.0 + rng.random(64)
+        potential, root = np.full(68, np.nan), np.full(68, np.nan)
+        got = bohm_potential(n, gamma, grid.dx, out=potential, s=root, tmp=np.empty(64))
+        assert got is potential
+        assert np.array_equal(potential[2:-2], bohm_potential(n, gamma, grid.dx))
+        want = ddx(bohm_potential(n, gamma, grid.dx), grid.dx)
+        assert np.array_equal(ddx(potential, grid.dx, out=np.empty(64), tmp=np.empty(64)), want)
 
 
 class TestFieldSolve:

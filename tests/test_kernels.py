@@ -122,6 +122,60 @@ class TestSIRate:
             assert abs(converted - norm) / norm < 1e-12
 
 
+def unmasked_pair_factor(E, N0, eps_field):
+    """exp(-pi/|E|)/N0 evaluated on every cell outside the eps_field guard."""
+    abs_e = np.abs(E)
+    weak = abs_e < eps_field
+    return np.where(weak, 0.0, np.exp(-np.pi / np.where(weak, 1.0, abs_e)) / N0)
+
+
+def around(x, ulps=40, rel=1e-4):
+    """x, its neighbouring doubles, and a band of relative width rel around it."""
+    steps = [x]
+    for _ in range(ulps):
+        steps.append(np.nextafter(steps[-1], np.inf))
+    for _ in range(ulps):
+        steps.insert(0, np.nextafter(steps[0], 0.0))
+    return np.concatenate((steps, x * (1.0 + rel * np.linspace(-1.0, 1.0, 201))))
+
+
+class TestPairFactorMask:
+    """Skipping exp where it underflows changes no bit of pair_factor."""
+
+    @pytest.mark.parametrize("eps_field", [kernels.DEFAULT_EPS_FIELD, 1e-6, 1e-2])
+    def test_bytes_equal_unmasked_formula(self, eps_field):
+        magnitudes = np.concatenate(
+            (
+                around(math.pi / 746.0),
+                around(math.pi / 745.13),
+                around(eps_field),
+                np.geomspace(math.pi / 760.0, math.pi / 700.0, 2001),  # subnormal outputs
+                np.geomspace(1e-12, 10.0, 500),
+                [0.0, 5e-324, np.inf, np.nan],
+            )
+        )
+        E = np.concatenate((magnitudes, -magnitudes, [-0.0]))
+        want = unmasked_pair_factor(E, 0.2, eps_field)
+        assert kernels.pair_factor(E, 0.2, eps_field).tobytes() == want.tobytes()
+        out = np.full(E.shape, 7.0)
+        assert kernels.pair_factor(E, 0.2, eps_field, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        for value in E[:: len(E) // 37]:
+            got = kernels.pair_factor(value, 0.2, eps_field)
+            assert got.tobytes() == unmasked_pair_factor(value, 0.2, eps_field).tobytes()
+
+    def test_inputs_reach_subnormal_and_zero_outputs(self):
+        # the band above the mask edge produces subnormals, so the comparison
+        # above covers exp's underflow range, not only ordinary values
+        E = np.geomspace(math.pi / 760.0, math.pi / 700.0, 2001)
+        phi = kernels.pair_factor(E, 0.2, kernels.DEFAULT_EPS_FIELD)
+        tiny = np.finfo(np.float64).tiny
+        assert np.any((phi > 0.0) & (phi < tiny))
+        assert np.any((phi == 0.0) & (E >= kernels.UNDERFLOW_FIELD))
+        assert np.all(phi[E < kernels.UNDERFLOW_FIELD] == 0.0)
+        assert math.exp(-math.pi / np.nextafter(kernels.UNDERFLOW_FIELD, 0.0)) == 0.0
+
+
 class TestLorentzGamma:
     def test_values(self):
         assert kernels.lorentz_gamma(0.0) == 1.0

@@ -1,15 +1,18 @@
 """Solver tests: equilibria, frozen uniform-state derivatives, linear physics,
 conservation structure, symmetry, breakdown handling."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import pairplasma.solver as sv
+from pairplasma.config import OutputConfig
 from pairplasma.errors import InvalidParameterError, NumericalBreakdownError
-from pairplasma.grid import Grid1D, ddx
+from pairplasma.grid import Grid1D, ddx, integrate
 from pairplasma.kernels import PhysicsParams, pair_factor
 from pairplasma.selfcheck import (
     fit_oscillation_frequency,
@@ -20,11 +23,13 @@ from pairplasma.solver import (
     InitialCondition,
     SimState,
     SolverOptions,
+    Workspace,
     initial_condition,
     rhs,
     rk4_step,
     run,
 )
+from test_grid import roll_d2dx2, roll_ddx, roll_hyperdiffusion
 
 mp.mp.dps = 50
 
@@ -200,15 +205,15 @@ class TestRk4Step:
         # only the last stage is non-finite: the scan of the returned state catches it
         grid = Grid1D(half_width=100.0, cells=64)
         state = uniform_state(grid)
-        zero = np.zeros(grid.cells)
         calls = []
 
-        def fake_rhs(st, params, opts):
+        def fake_rhs(st, params, opts, work=None, out=None):
             calls.append(st.t)
-            dn_p = zero.copy()
+            for deriv in out:
+                deriv.fill(0.0)
             if len(calls) == 4:
-                dn_p[9] = np.inf
-            return zero, zero, dn_p, zero, zero
+                out[2][9] = np.inf
+            return out
 
         monkeypatch.setattr(sv, "rhs", fake_rhs)
         dt = 0.4 * grid.dx
@@ -238,9 +243,9 @@ class TestRk4Step:
         # with the displacement terms off no derivative of an all-zero flux is taken
         calls = []
 
-        def counted(f, dx):
+        def counted(f, dx, *args, **kwargs):
             calls.append(1)
-            return ddx(f, dx)
+            return ddx(f, dx, *args, **kwargs)
 
         monkeypatch.setattr(sv, "ddx", counted)
         grid = Grid1D(half_width=24000.0, cells=64)
@@ -328,8 +333,6 @@ class TestSolverOptions:
 
 class _MiniConfig:
     def __init__(self, **kw):
-        from pairplasma.config import OutputConfig
-
         self.physics = kw.get("physics", PARAMS)
         self.grid = kw.get("grid", Grid1D(half_width=24000.0, cells=256))
         self.solver = kw.get("solver", SolverOptions(t_end=300.0))
@@ -377,6 +380,246 @@ class TestRun:
         result = run(config)
         assert result.records[-1].t == pytest.approx(300.0, abs=1e-9)
         assert result.state.t == pytest.approx(300.0, abs=1e-9)
+
+
+def reference_pair_factor(E, params):
+    abs_e = np.abs(E)
+    weak = abs_e < params.eps_field
+    return np.where(weak, 0.0, np.exp(-np.pi / np.where(weak, 1.0, abs_e)) / params.N0)
+
+
+def reference_rhs(s, params, opts):
+    """The allocating right-hand side, one new array per operation."""
+    dx = s.grid.dx
+    gamma_e = np.sqrt(1.0 + s.p_e * s.p_e)
+    gamma_p = np.sqrt(1.0 + s.p_p * s.p_p)
+    flux_e = s.n_e * (s.p_e / gamma_e)
+    flux_p = s.n_p * (s.p_p / gamma_p)
+    phi = reference_pair_factor(s.E, params)
+    q0 = s.E * s.E * phi
+    dn_e = -roll_ddx(flux_e, dx) + q0
+    dn_p = -roll_ddx(flux_p, dx) + q0
+    current = flux_e - flux_p
+    if opts.displacement_terms:
+        e_phi = s.E * phi
+        disp_e = gamma_e * e_phi
+        disp_p = gamma_p * e_phi
+        dn_e = dn_e + roll_ddx(disp_e, dx)
+        dn_p = dn_p - roll_ddx(disp_p, dx)
+        sign = 1.0 if opts.ampere_sign_flip else -1.0
+        current = current + sign * (disp_e + disp_p)
+    dp_e = -roll_ddx(gamma_e, dx) - s.E
+    dp_p = -roll_ddx(gamma_p, dx) + s.E
+    a = params.a
+    if a != 0.0:
+        loss = a * (s.n_e * s.n_p)
+        dn_e = dn_e - loss
+        dn_p = dn_p - loss
+        dp_e = dp_e + -a * (s.n_p * (s.p_e - s.p_p))
+        dp_p = dp_p + -a * (s.n_e * (s.p_p - s.p_e))
+    if opts.bohm:
+        root_e = np.sqrt(s.n_e / gamma_e)
+        root_p = np.sqrt(s.n_p / gamma_p)
+        dp_e = dp_e + 0.5 * roll_ddx(roll_d2dx2(root_e, dx) / root_e, dx)
+        dp_p = dp_p + 0.5 * roll_ddx(roll_d2dx2(root_p, dx) / root_p, dx)
+    if opts.nu_h != 0.0:
+        dn_e = dn_e + roll_hyperdiffusion(s.n_e, opts.nu_h)
+        dn_p = dn_p + roll_hyperdiffusion(s.n_p, opts.nu_h)
+        dp_e = dp_e + roll_hyperdiffusion(s.p_e, opts.nu_h)
+        dp_p = dp_p + roll_hyperdiffusion(s.p_p, opts.nu_h)
+    return params.omega_pe_sq * current, dn_e, dn_p, dp_e, dp_p
+
+
+def reference_step(s, dt, params, opts):
+    def shifted(k, h):
+        return SimState(s.grid, s.t + h, *(u + h * d for u, d in zip(fields_of(s), k)))
+
+    k1 = reference_rhs(s, params, opts)
+    k2 = reference_rhs(shifted(k1, 0.5 * dt), params, opts)
+    k3 = reference_rhs(shifted(k2, 0.5 * dt), params, opts)
+    k4 = reference_rhs(shifted(k3, dt), params, opts)
+    sixth = dt / 6.0
+    new = [
+        u + sixth * ((a + d) + 2.0 * (b + c))
+        for u, a, b, c, d in zip(fields_of(s), k1, k2, k3, k4)
+    ]
+    return SimState(s.grid, s.t + dt, *new)
+
+
+def reference_record(s, params, initial_n_e):
+    dx = s.grid.dx
+    gamma_e = np.sqrt(1.0 + s.p_e * s.p_e)
+    gamma_p = np.sqrt(1.0 + s.p_p * s.p_p)
+    kin_e = float(dx * np.sum(s.n_e * gamma_e))
+    kin_p = float(dx * np.sum(s.n_p * gamma_p))
+    fld = float(dx * np.sum(s.E * s.E / (2.0 * params.omega_pe_sq)))
+    total = kin_e + kin_p + fld
+    gauss = roll_ddx(s.E, dx) - params.omega_pe_sq * (1.0 - s.n_e + s.n_p)
+    q0_over_e = s.E * reference_pair_factor(s.E, params)
+    balance = -float(dx * np.sum(0.5 * q0_over_e * roll_ddx(s.p_e * s.p_e - s.p_p * s.p_p, dx)))
+    return (
+        s.t,
+        fld,
+        kin_e,
+        kin_p,
+        total,
+        total - 2.0 * s.grid.length,
+        float(dx * np.sum(s.n_e)) - initial_n_e,
+        float(np.max(np.abs(s.E))),
+        float(max(np.max(gamma_e), np.max(gamma_p))),
+        float(np.max(np.abs(gauss))),
+        balance,
+    )
+
+
+def fields_of(s):
+    return s.E, s.n_e, s.n_p, s.p_e, s.p_p
+
+
+class TestWorkspaceReference:
+    """run() through its workspace equals the plain allocating formulas bit for bit.
+
+    The reference rebuilds every new array per operation, as the solver did
+    before it stepped through a workspace, with np.roll stencils. Equality is
+    exact; no digest is pinned, since numpy's exp and sqrt may round
+    differently on other CPUs (both sides then change together).
+    """
+
+    CONFIGS = {
+        "default": (PARAMS, SolverOptions(t_end=1500.0)),
+        "displacement_off": (PARAMS, SolverOptions(t_end=1500.0, displacement_terms=False)),
+        "sign_flip": (PARAMS, SolverOptions(t_end=1500.0, ampere_sign_flip=True)),
+        # cfl 0.05 keeps the nu_h = 0.01 damping inside RK4's stability region at M = 256
+        "bohm_recombination_hyperdiffusion": (
+            PhysicsParams(N0=0.2, alpha=1.0 / 137.0, a=1e-4),
+            SolverOptions(t_end=600.0, cfl=0.05, bohm=True, nu_h=0.01),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_run_equals_reference(self, name):
+        params, opts = self.CONFIGS[name]
+        config = _MiniConfig(physics=params, solver=opts)
+        result = run(config)
+
+        state = initial_condition(config.ic, config.grid, params)
+        n_steps, dt = sv._plan_steps(opts, config.grid.dx)
+        initial_n_e = integrate(state.n_e, config.grid.dx)
+        records = [reference_record(state, params, initial_n_e)]
+        for _ in range(n_steps):
+            state = reference_step(state, dt, params, opts)
+            records.append(reference_record(state, params, initial_n_e))
+
+        assert n_steps >= 20
+        assert [dataclasses.astuple(r) for r in result.records] == records
+        for got, want in zip(fields_of(result.state), fields_of(state)):
+            assert np.array_equal(got, want)
+        assert result.state.t == state.t
+
+
+class TestWorkspaceMemory:
+    def test_snapshots_share_no_memory(self, monkeypatch):
+        made = []
+
+        class Recorded(Workspace):
+            def __init__(self, cells):
+                super().__init__(cells)
+                made.append(self)
+
+        monkeypatch.setattr(sv, "Workspace", Recorded)
+        result = run(_MiniConfig(output=OutputConfig(series_every=1, snapshot_every=1)))
+        assert len(made) == 1
+
+        def arrays_in(value):
+            if isinstance(value, np.ndarray):
+                return [value]
+            if isinstance(value, tuple):
+                return [a for v in value for a in arrays_in(v)]
+            return []
+
+        buffers = [a for value in vars(made[0]).values() for a in arrays_in(value)]
+        assert len(buffers) == 4 + 3 + 15 + 5
+        arrays = [f for _, snap in result.snapshots for f in fields_of(snap)]
+        assert len(result.snapshots) == 5
+        for i, f in enumerate(arrays):
+            assert not any(np.shares_memory(f, b) for b in buffers)
+            assert not any(np.shares_memory(f, g) for g in arrays[i + 1 :])
+
+    def test_public_rhs_returns_independent_arrays(self):
+        grid = Grid1D(half_width=24000.0, cells=64)
+        state = random_smooth_state(grid, np.random.default_rng(4))
+        opts = SolverOptions(t_end=1.0)
+        first = rhs(state, PARAMS, opts)
+        kept = [d.copy() for d in first]
+        second = rhs(state, PARAMS, opts)
+        for a, b, k in zip(first, second, kept):
+            assert not np.shares_memory(a, b)
+            assert np.array_equal(a, k) and np.array_equal(b, k)
+
+    def test_step_memory_is_bounded(self, monkeypatch):
+        # High-water mark of traced memory above its level at the start of each
+        # step (the step, gamma/phi of its result and its record), in arrays of M
+        # values. Stepping through the workspace needs the returned state (5)
+        # plus a record's temporaries; allocating every intermediate took 37.
+        cells = 8192
+        grid = Grid1D(half_width=24000.0, cells=cells)
+        config = _MiniConfig(grid=grid, solver=SolverOptions(dt=0.4 * grid.dx, t_end=20 * 0.4 * grid.dx))
+        marks = []
+
+        def measured(*args, **kwargs):
+            current, peak = tracemalloc.get_traced_memory()
+            marks.append((peak - measured.base) / (8 * cells))
+            tracemalloc.reset_peak()
+            measured.base = tracemalloc.get_traced_memory()[0]
+            return rk4_step(*args, **kwargs)
+
+        monkeypatch.setattr(sv, "rk4_step", measured)
+        tracemalloc.start()
+        try:
+            measured.base = tracemalloc.get_traced_memory()[0]
+            result = run(config)
+        finally:
+            tracemalloc.stop()
+        assert len(result.records) == 21 and len(marks) == 20
+        assert max(marks[1:]) <= 12.0  # marks[0] covers set-up and the workspace
+
+
+class TestScanCounts:
+    def test_four_finite_scans_per_step(self, monkeypatch):
+        calls = []
+        original = sv._check_fields
+
+        def counted(t, *fields_):
+            calls.append(t)
+            return original(t, *fields_)
+
+        monkeypatch.setattr(sv, "_check_fields", counted)
+        result = run(_MiniConfig(solver=SolverOptions(t_end=300.0)))
+        n_steps = len(result.records) - 1
+        assert n_steps == 4
+        assert len(calls) == 1 + 4 * n_steps  # initial_condition, then 3 stage inputs + the result
+
+    def test_bohm_term_skips_second_density_scan(self, monkeypatch):
+        # rhs has checked n > 0 once; it calls the Bohm potential in the in-place
+        # form, which does not scan again (the public form does, see test_grid)
+        scans, forms = [], []
+        check, potential = sv._check_positive_densities, sv.bohm_potential
+
+        def counted_check(state):
+            scans.append(state.t)
+            return check(state)
+
+        def recorded_potential(n, gamma, dx, out=None, **kwargs):
+            forms.append(out is not None)
+            return potential(n, gamma, dx, out=out, **kwargs)
+
+        monkeypatch.setattr(sv, "_check_positive_densities", counted_check)
+        monkeypatch.setattr(sv, "bohm_potential", recorded_potential)
+        grid = Grid1D(half_width=24000.0, cells=64)
+        state = random_smooth_state(grid, np.random.default_rng(2))
+        rhs(state, PARAMS, SolverOptions(t_end=1.0, bohm=True))
+        assert scans == [0.0]
+        assert forms == [True, True]
 
 
 class TestLinearDispersion:
