@@ -18,7 +18,13 @@ from .config import RunConfig, format_config, parse_config
 from .diagnostics import make_record
 from .errors import ConfigError, InvalidParameterError, NumericalBreakdownError, PairPlasmaError
 from .grid import integrate
-from .output import SERIES_FILENAME, write_manifest, write_series, write_snapshot
+from .output import (
+    SERIES_FILENAME,
+    format_column,
+    write_manifest,
+    write_series,
+    write_snapshot,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -35,8 +41,9 @@ def _write_outputs(config: RunConfig, records, snapshots) -> Path:
     outdir = Path(config.output.dir)
     outdir.mkdir(parents=True, exist_ok=True)
     files = [write_series(records, outdir / SERIES_FILENAME)]
+    x_text = format_column(config.grid.x)
     for index, state in snapshots:
-        files.append(write_snapshot(state, index, outdir))
+        files.append(write_snapshot(state, index, outdir, x_text))
     write_manifest(format_config(config), outdir, files)
     return outdir
 

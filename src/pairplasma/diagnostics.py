@@ -14,8 +14,10 @@ Both the raw energy and a rest-mass-subtracted variant (minus 2 per unit
 length, the rest energy of a neutral pair plasma at the background density)
 are reported, since either convention is useful when comparing curves.
 
-All functions are pure functions of a state snapshot and may run
-concurrently with stepping only on copies.
+All functions are pure functions of a state snapshot. Given a solver
+Workspace, they compute in its free buffers instead of new arrays, with
+the same operations in the same order; that form belongs to the run that
+owns the workspace.
 """
 
 from dataclasses import dataclass, fields
@@ -62,44 +64,69 @@ def pair_count_delta(state, initial_n_e: float) -> float:
     return integrate(state.n_e, state.grid.dx) - initial_n_e
 
 
-def gauss_residual(state, omega_pe_sq: float) -> float:
-    """L-infinity departure of E from the Gauss-law constraint."""
-    dx = state.grid.dx
-    res = ddx(state.E, dx) - omega_pe_sq * (1.0 - state.n_e + state.n_p)
-    return float(np.max(np.abs(res)))
+def _buffers(work, cells: int):
+    """A padded buffer and two buffers of M values: the free ones of a solver
+    Workspace, or new arrays when `work` is None."""
+    if work is None:
+        return np.empty(cells + 4), np.empty(cells), np.empty(cells)
+    return work.pad_e, work.scratch, work.tmp
 
 
-def energy_balance_rhs(state, params: PhysicsParams, phi=None) -> float:
+def gauss_residual(state, omega_pe_sq: float, work=None) -> float:
+    """L-infinity departure of E from the Gauss-law constraint.
+
+    Computes in the free buffers of `work` when given (see `make_record`).
+    """
+    pad, res, tmp = _buffers(work, state.grid.cells)
+    pad[2:-2] = state.E
+    ddx(pad, state.grid.dx, out=res, tmp=tmp)
+    source = np.subtract(1.0, state.n_e, out=tmp)
+    source += state.n_p
+    source *= omega_pe_sq
+    res -= source
+    return float(np.max(np.abs(res, out=res)))
+
+
+def energy_balance_rhs(state, params: PhysicsParams, work=None) -> float:
     """Exact semi-discrete d(E_tot)/dt when displacement terms are on and a = 0.
 
     q0/E = E * phi uses the solver's guarded pair factor, so the integrand
-    vanishes identically where the field is negligible. `phi` may be passed
-    in when the caller already holds it for this state.
+    vanishes identically where the field is negligible. With `work` (see
+    `make_record`) phi is read from it and the free buffers are used.
     """
     dx = state.grid.dx
-    if phi is None:
-        phi = pair_factor(state.E, params.N0, params.eps_field)
-    q0_over_e = state.E * phi
-    gamma_sq_diff = state.p_e * state.p_e - state.p_p * state.p_p  # g^2 = 1 + p^2
-    return -integrate(0.5 * q0_over_e * ddx(gamma_sq_diff, dx), dx)
+    pad, dgsq, integrand = _buffers(work, state.grid.cells)
+    gamma_sq_diff = np.multiply(state.p_e, state.p_e, out=pad[2:-2])  # g^2 = 1 + p^2
+    gamma_sq_diff -= np.multiply(state.p_p, state.p_p, out=integrand)
+    ddx(pad, dx, out=dgsq, tmp=integrand)
+    phi = pair_factor(state.E, params.N0, params.eps_field) if work is None else work.phi
+    q0_over_e = np.multiply(state.E, phi, out=integrand)
+    q0_over_e *= 0.5
+    q0_over_e *= dgsq
+    return -integrate(q0_over_e, dx)
 
 
-def make_record(
-    state, params: PhysicsParams, initial_n_e: float, gamma_e=None, gamma_p=None, phi=None
-) -> SeriesRecord:
+def make_record(state, params: PhysicsParams, initial_n_e: float, work=None) -> SeriesRecord:
     """One series row for `state`.
 
-    gamma_e, gamma_p and phi = exp(-pi/|E|)/N0 may be passed in when the
-    caller already holds them for this state (the solver computes them once
-    per step); otherwise they are computed here.
+    `work` is a solver Workspace primed for `state`: its gamma_e, gamma_p
+    and phi = exp(-pi/|E|)/N0 are used, and its pad_e, scratch and tmp
+    buffers, free between steps, hold the temporaries, so the record
+    allocates no array of M values. Without it gamma and phi are computed
+    here into new arrays. Both forms run the same operations in the same
+    order, so their records are identical.
     """
     dx = state.grid.dx
-    if gamma_e is None:
-        gamma_e = lorentz_gamma(state.p_e)
-        gamma_p = lorentz_gamma(state.p_p)
-    kin_e = integrate(state.n_e * gamma_e, dx)
-    kin_p = integrate(state.n_p * gamma_p, dx)
-    fld = integrate(state.E * state.E / (2.0 * params.omega_pe_sq), dx)
+    if work is None:
+        gamma_e, gamma_p = lorentz_gamma(state.p_e), lorentz_gamma(state.p_p)
+        buf = np.empty(state.grid.cells)
+    else:
+        gamma_e, gamma_p, buf = work.gamma_e[2:-2], work.gamma_p[2:-2], work.scratch
+    kin_e = integrate(np.multiply(state.n_e, gamma_e, out=buf), dx)
+    kin_p = integrate(np.multiply(state.n_p, gamma_p, out=buf), dx)
+    energy_density = np.multiply(state.E, state.E, out=buf)
+    energy_density /= 2.0 * params.omega_pe_sq
+    fld = integrate(energy_density, dx)
     total = kin_e + kin_p + fld
     return SeriesRecord(
         t=state.t,
@@ -109,8 +136,8 @@ def make_record(
         total_energy=total,
         total_energy_sub=total - 2.0 * state.grid.length,
         delta_pairs=pair_count_delta(state, initial_n_e),
-        max_abs_E=float(np.max(np.abs(state.E))),
+        max_abs_E=float(np.max(np.abs(state.E, out=buf))),
         max_gamma=float(max(np.max(gamma_e), np.max(gamma_p))),
-        gauss_residual=gauss_residual(state, params.omega_pe_sq),
-        balance_rhs=energy_balance_rhs(state, params, phi),
+        gauss_residual=gauss_residual(state, params.omega_pe_sq, work),
+        balance_rhs=energy_balance_rhs(state, params, work),
     )

@@ -38,4 +38,4 @@ class NumericalBreakdownError(PairPlasmaError):
 
 
 class ConfigError(PairPlasmaError):
-    """Configuration text failed to parse or validate."""
+    """Configuration text, or a snapshot file it names as input, failed to parse or validate."""

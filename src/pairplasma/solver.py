@@ -2,24 +2,27 @@
 
 Evolved fields (normalized units) on one periodic grid:
 
-    dn_e/dt = -d/dx(n_e p_e/g_e) + q0 + d/dx(D_e) - a n_e n_p
-    dn_p/dt = -d/dx(n_p p_p/g_p) + q0 - d/dx(D_p) - a n_e n_p
-    dp_e/dt = -d/dx(g_e) - E  [+ Bohm, recombination drag]
-    dp_p/dt = -d/dx(g_p) + E  [+ Bohm, recombination drag]
+    dn_e/dt = -d/dx(F_e) + q0 - a n_e n_p,   F_e = n_e p_e/g_e - D_e
+    dn_p/dt = -d/dx(F_p) + q0 - a n_e n_p,   F_p = n_p p_p/g_p + D_p
+    dp_e/dt = -d/dx(g_e [- Q_e/2]) - E  [+ recombination drag]
+    dp_p/dt = -d/dx(g_p [- Q_p/2]) + E  [+ recombination drag]
     dE/dt   = w2 * (n_e p_e/g_e - n_p p_p/g_p - (D_e + D_p))
 
 with g_s = sqrt(1 + p_s^2), q0 the pair creation rate, D_s = g_s q0 / E the
-pair-displacement flux and w2 the squared plasma frequency. Momentum
-advection uses the cold-fluid identity (p/g) dp/dx = dg/dx.
+pair-displacement flux, Q_s the Bohm potential (when on) and w2 the squared
+plasma frequency. Momentum advection uses the cold-fluid identity
+(p/g) dp/dx = dg/dx. Each evolved equation takes one first-derivative
+stencil: of its combined flux F_s, or of g_s - Q_s/2.
 
 The sign of the displacement term in dE/dt is the one obtained by
 differentiating the Gauss law in time and substituting the continuity
-equations; with it, d/dx(dE/dt) == w2*(dn_p/dt - dn_e/dt) holds exactly
-stencil-for-stencil, so the Gauss constraint is a linear invariant of the
-semi-discrete system and RK4 preserves it to rounding. It also makes pair
-creation drain field energy rather than add it. The opposite sign is
-available behind `ampere_sign_flip` for comparison; it breaks both
-properties.
+equations: dE/dt = w2 * (F_e - F_p). The continuity equations take their
+stencils of the same F_e and F_p, so d/dx(dE/dt) == w2*(dn_p/dt - dn_e/dt)
+holds stencil-for-stencil, up to rounding, and the Gauss constraint is a
+linear invariant of the semi-discrete system that RK4 preserves to
+rounding. It also makes pair creation drain field energy rather than add
+it. The opposite sign is available behind `ampere_sign_flip` for
+comparison; it breaks both properties.
 
 The electric field is advanced through this Ampere-type law; the Gauss law
 is used only to build the initial field and as a residual diagnostic.
@@ -45,14 +48,15 @@ scanned on their own, because a non-finite derivative makes the next stage
 state or the step result non-finite. Each check raises
 NumericalBreakdownError with the time and the first offending cell. With
 the Bohm term, recombination or `stop_on_negative_density` on, `rhs` also
-checks n > 0 once per stage; the Bohm potential is then evaluated without
-a second density scan.
+checks n > 0 once per stage; the Bohm potential and the recombination
+terms are then evaluated in place without a second density scan.
 
 Each stage evaluates gamma_s and the guarded factor phi = exp(-pi/|E|)/N0
 (`kernels.pair_factor`) once and shares them: q0 = E^2 phi and
 D_s = g_s (E phi). For the state a step returns they are computed once
 (`Workspace.prime`) and used by both its series record and the next step's
-stage 1.
+stage 1. The record computes its temporaries in the workspace's free
+buffers (`diagnostics.make_record`), so it allocates no array of M values.
 
 `run` allocates one `Workspace` after `initial_condition` and steps through
 it: padded stencil buffers, the four RK4 derivatives and the stage states
@@ -73,13 +77,7 @@ import numpy as np
 from .diagnostics import make_record
 from .errors import InvalidParameterError, NumericalBreakdownError
 from .grid import Grid1D, bohm_potential, ddx, hyperdiffusion, integrate, poisson_init_E
-from .kernels import (
-    PhysicsParams,
-    lorentz_gamma,
-    pair_factor,
-    recombination_loss,
-    recombination_momentum_exchange,
-)
+from .kernels import PhysicsParams, lorentz_gamma, pair_factor
 from .output import read_snapshot
 
 # Hard step-size ceiling: signal speeds never exceed c = 1 in these units.
@@ -214,14 +212,16 @@ def _check_positive_densities(state: SimState):
 class Workspace:
     """Buffers for the RK4 steps of one run on one grid size, allocated once.
 
-    rhs writes gamma_e and gamma_p, and in turn the fluxes n_s p_s/g_s, the
-    displacement fluxes D_s and the Bohm and hyperdiffusion inputs, into the
-    interiors of padded buffers (M + 4 values, see `grid.padded`), so each
-    derivative refreshes only four ghost cells. The RK4 derivatives and stage
-    states live here too. `primed` is the state whose gamma_e, gamma_p and
-    phi the buffers hold; rhs reuses them for that state instead of
-    recomputing them and rescanning it. The solver never writes into a
-    state's arrays, so the state object identifies its values.
+    `prime` writes gamma_e and gamma_p into the interiors of padded buffers
+    (M + 4 values, see `grid.padded`), and rhs writes the combined fluxes
+    F_s, g_s - Q_s/2 and the hyperdiffusion inputs into pad_e and pad_p, so
+    each derivative refreshes only four ghost cells. The RK4 derivatives and
+    stage states live here too. `primed` is the state whose gamma_e, gamma_p
+    and phi the buffers hold; rhs reuses them for that state instead of
+    recomputing them and rescanning it, and never writes into them. The
+    solver never writes into a state's arrays, so the state object
+    identifies its values. Between steps pad_e, scratch and tmp are free
+    for the series record.
     """
 
     def __init__(self, cells: int):
@@ -240,10 +240,6 @@ class Workspace:
         lorentz_gamma(state.p_p, out=self.gamma_p[2:-2])
         pair_factor(state.E, params.N0, params.eps_field, out=self.phi)
         self.primed = state
-
-    def derived(self) -> dict:
-        """gamma_e, gamma_p and phi of the primed state, as `make_record` keywords."""
-        return {"gamma_e": self.gamma_e[2:-2], "gamma_p": self.gamma_p[2:-2], "phi": self.phi}
 
 
 def _fields(state: SimState):
@@ -280,41 +276,56 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, 
     flux_p = np.divide(state.p_p, gamma_p, out=pad_p[2:-2])
     flux_p *= state.n_p
     current = np.subtract(flux_e, flux_p, out=dE)
-    q0 = np.multiply(E, E, out=scratch)
-    q0 *= work.phi
-    np.subtract(q0, ddx(pad_e, dx, out=dn_e, tmp=tmp), out=dn_e)
-    np.subtract(q0, ddx(pad_p, dx, out=dn_p, tmp=tmp), out=dn_p)
-
     if opts.displacement_terms:
+        # D_s waits in the dn_s slots, which the stencils below overwrite
         e_phi = np.multiply(E, work.phi, out=scratch)
-        disp_e = np.multiply(gamma_e, e_phi, out=pad_e[2:-2])
-        disp_p = np.multiply(gamma_p, e_phi, out=pad_p[2:-2])
+        disp_e = np.multiply(gamma_e, e_phi, out=dn_e)
+        disp_p = np.multiply(gamma_p, e_phi, out=dn_p)
         disp = np.add(disp_e, disp_p, out=scratch)
         if opts.ampere_sign_flip:
             current += disp
         else:
             current -= disp
-        dn_e += ddx(pad_e, dx, out=scratch, tmp=tmp)
-        dn_p -= ddx(pad_p, dx, out=scratch, tmp=tmp)
+        flux_e -= disp_e
+        flux_p += disp_p
     current *= params.omega_pe_sq
+    # one stencil per continuity equation, on its combined flux n_s v_s -/+ D_s
+    q0 = np.multiply(E, E, out=scratch)
+    q0 *= work.phi
+    np.subtract(q0, ddx(pad_e, dx, out=dn_e, tmp=tmp), out=dn_e)
+    np.subtract(q0, ddx(pad_p, dx, out=dn_p, tmp=tmp), out=dn_p)
 
-    np.negative(ddx(work.gamma_e, dx, out=dp_e, tmp=tmp), out=dp_e)
+    # one stencil per momentum equation, of g_s, or of g_s - Q_s/2 with the
+    # Bohm potential Q_s written into a free pad; the primed gammas stay unchanged
+    for n, gamma, pad, root, dp in (
+        (state.n_e, work.gamma_e, pad_e, pad_p, dp_e),
+        (state.n_p, work.gamma_p, pad_p, pad_e, dp_p),
+    ):
+        if opts.bohm:
+            half_q = bohm_potential(n, gamma[2:-2], dx, out=pad, s=root, tmp=tmp)[2:-2]
+            half_q *= 0.5
+            np.subtract(gamma[2:-2], half_q, out=half_q)
+            gamma = pad
+        ddx(gamma, dx, out=dp, tmp=tmp)
+    np.negative(dp_e, out=dp_e)
     dp_e -= E
-    np.subtract(E, ddx(work.gamma_p, dx, out=dp_p, tmp=tmp), out=dp_p)
+    np.subtract(E, dp_p, out=dp_p)
 
     if params.a != 0.0:
-        loss = recombination_loss(state.n_e, state.n_p, params.a)
+        # the loss a*(n_e*n_p) and the drag -a*(n_other*(p_self - p_other)) in
+        # the order of the public kernels, without their n >= 0 scans
+        loss = np.multiply(state.n_e, state.n_p, out=scratch)
+        loss *= params.a
         dn_e -= loss
         dn_p -= loss
-        dp_e += recombination_momentum_exchange(state.p_e, state.p_p, state.n_p, params.a)
-        dp_p += recombination_momentum_exchange(state.p_p, state.p_e, state.n_e, params.a)
-
-    if opts.bohm:
-        for n, gamma, dp in ((state.n_e, gamma_e, dp_e), (state.n_p, gamma_p, dp_p)):
-            potential = bohm_potential(n, gamma, dx, out=pad_e, s=pad_p, tmp=tmp)
-            force = ddx(potential, dx, out=scratch, tmp=tmp)
-            force *= 0.5
-            dp += force
+        for p_self, p_other, n_other, dp in (
+            (state.p_e, state.p_p, state.n_p, dp_e),
+            (state.p_p, state.p_e, state.n_e, dp_p),
+        ):
+            drag = np.subtract(p_self, p_other, out=scratch)
+            drag *= n_other
+            drag *= -params.a
+            dp += drag
 
     if opts.nu_h != 0.0:
         for f, df in ((state.n_e, dn_e), (state.n_p, dn_p), (state.p_e, dp_e), (state.p_p, dp_p)):
@@ -432,7 +443,7 @@ def run(config) -> RunResult:
     work = Workspace(grid.cells)
     work.prime(state, params)
 
-    records = [make_record(state, params, initial_n_e, **work.derived())]
+    records = [make_record(state, params, initial_n_e, work)]
     snapshots = [(0, state)]
     snap_index = 1
     try:
@@ -442,7 +453,7 @@ def run(config) -> RunResult:
             work.prime(state, params)
             last = step == n_steps
             if (series_every and step % series_every == 0) or last:
-                records.append(make_record(state, params, initial_n_e, **work.derived()))
+                records.append(make_record(state, params, initial_n_e, work))
             if (snapshot_every and step % snapshot_every == 0) or last:
                 snapshots.append((snap_index, state))
                 snap_index += 1

@@ -89,6 +89,46 @@ class TestRunCommand:
         assert len(series) > 10
 
 
+GOOD_ROW = "-3.0,0.0,1.01,0.01,0.0,0.0"
+BAD_SNAPSHOTS = {
+    # name: (file text, line the error names or None)
+    "missing_column": ("# t = 0.0\nx,E,n_e,n_p,p_e\n" + "-3.0,0.0,1.01,0.01,0.0\n" * 8, 2),
+    "non_numeric": ("# t = 0.0\nx,E,n_e,n_p,p_e,p_p\n" + f"{GOOD_ROW}\n" * 3
+                    + "-3.0,0.0,1.01,abc,0.0,0.0\n" + f"{GOOD_ROW}\n" * 4, 6),
+    "ragged_row": ("# t = 0.0\nx,E,n_e,n_p,p_e,p_p\n" + f"{GOOD_ROW}\n" * 4
+                   + "-3.0,0.0,1.01,0.01,0.0\n" + f"{GOOD_ROW}\n" * 3, 7),
+    "empty": ("", None),
+}
+
+
+class TestBadRestartInput:
+    @pytest.mark.parametrize("kind", sorted(BAD_SNAPSHOTS))
+    def test_config_error_names_path_and_line(self, tmp_path, capsys, kind):
+        text, line = BAD_SNAPSHOTS[kind]
+        snapshot = tmp_path / "restart.csv"
+        snapshot.write_text(text)
+        cfg = write_config(
+            tmp_path,
+            f"grid.cells = 8\nic.kind = file\nic.path = {snapshot}\noutput.dir = {tmp_path / 'out'}\n",
+        )
+        assert cli_main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("configuration error: ")
+        assert str(snapshot) in err
+        if line is not None:
+            assert f"line {line}:" in err
+
+    def test_good_snapshot_runs(self, tmp_path, capsys):
+        snapshot = tmp_path / "restart.csv"
+        snapshot.write_text("# t = 0.0\nx,E,n_e,n_p,p_e,p_p\n" + f"{GOOD_ROW}\n" * 8)
+        cfg = write_config(
+            tmp_path,
+            f"grid.cells = 8\nsolver.t_end = 10\nic.kind = file\nic.path = {snapshot}\n"
+            f"output.dir = {tmp_path / 'out'}\n",
+        )
+        assert cli_main(["run", cfg]) == 0
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # the package does not use scipy, `check` included
     code = (

@@ -12,11 +12,15 @@ from pairplasma.errors import ConfigError
 from pairplasma.grid import Grid1D, integrate
 from pairplasma.kernels import PhysicsParams
 from pairplasma.output import (
+    _ROWS_PER_WRITE,
+    SNAPSHOT_COLUMNS,
+    format_column,
     read_snapshot,
     write_manifest,
     write_series,
     write_snapshot,
 )
+from pairplasma.selfcheck import random_smooth_state
 from pairplasma.solver import InitialCondition, initial_condition
 
 PARAMS = PhysicsParams(N0=0.2, alpha=1.0 / 137.0)
@@ -228,6 +232,48 @@ class TestSnapshotFile:
         np.testing.assert_array_equal(loaded.p_e, source.p_e)
         # E is rebuilt from the loaded charge distribution
         np.testing.assert_allclose(loaded.E, source.E, atol=1e-15)
+
+
+def per_value_snapshot(state, index, outdir):
+    """The snapshot writer as it was: one repr(float(v)) call per value."""
+    path = outdir / f"fields_{index:06d}.csv"
+    lines = [f"# t = {repr(float(state.t))}", ",".join(SNAPSHOT_COLUMNS)]
+    columns = (state.grid.x, state.E, state.n_e, state.n_p, state.p_e, state.p_p)
+    for row in zip(*columns):
+        lines.append(",".join(repr(float(v)) for v in row))
+    path.write_text("\n".join(lines) + "\n", newline="\n")
+    return path
+
+
+class TestSnapshotWriterBytes:
+    # signed zero, subnormals, the normal-range limits, the switch to
+    # exponent notation (1e16, 1e-5 and their neighbours) and extreme exponents
+    SPECIAL = [
+        -0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1.7976931348623157e308,
+        -1e-300, 1e300, 1e16, 9999999999999998.0, 1.0000000000000002e16, 1e-5, 0.0001,
+        9.999999999999999e-06, -1e22, 0.1, 1.0, -2.0, 123456789.12345679, 1.5e-07,
+        float("inf"), float("-inf"), float("nan"), 3.0e-310,
+    ]
+
+    def test_bytes_equal_per_value_writer(self, tmp_path):
+        grid = Grid1D(half_width=24000.0, cells=len(self.SPECIAL))
+        rolled = [np.roll(self.SPECIAL, k) for k in range(5)]
+        state = initial_condition(InitialCondition(kind="uniform"), grid, PARAMS)
+        state.t = 1e-5
+        state.E, state.n_e, state.n_p, state.p_e, state.p_p = rolled
+        (tmp_path / "old").mkdir()
+        want = per_value_snapshot(state, 7, tmp_path / "old").read_bytes()
+        for x_text in (None, format_column(grid.x)):
+            (tmp_path / "new").mkdir(exist_ok=True)
+            assert write_snapshot(state, 7, tmp_path / "new", x_text).read_bytes() == want
+
+    def test_bytes_equal_across_write_blocks(self, tmp_path):
+        # more rows than one write block, and a partial last block
+        grid = Grid1D(half_width=24000.0, cells=2 * _ROWS_PER_WRITE + 100)
+        state = random_smooth_state(grid, np.random.default_rng(11))
+        state.t = 187.5
+        want = per_value_snapshot(state, 0, tmp_path).read_bytes()
+        assert write_snapshot(state, 1, tmp_path, format_column(grid.x)).read_bytes() == want
 
 
 class TestManifest:

@@ -9,8 +9,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import pairplasma.kernels as kernels
 import pairplasma.solver as sv
 from pairplasma.config import OutputConfig
+from pairplasma.diagnostics import SERIES_COLUMNS, make_record
 from pairplasma.errors import InvalidParameterError, NumericalBreakdownError
 from pairplasma.grid import Grid1D, ddx, integrate
 from pairplasma.kernels import PhysicsParams, pair_factor
@@ -98,6 +100,29 @@ class TestRhs:
         # drag pulls the momenta together, no field force (E = 0)
         np.testing.assert_allclose(dp_e, -0.5 * 1.0 * (1.0 - 0.0), rtol=1e-15)
         np.testing.assert_allclose(dp_p, -0.5 * 2.0 * (0.0 - 1.0), rtol=1e-15)
+
+    def test_recombination_in_place_equals_kernels(self, monkeypatch):
+        # rhs adds the loss and drag itself, in the public kernels' order of
+        # operations, without their density scans (it has checked n > 0)
+        grid = Grid1D(half_width=24000.0, cells=64)
+        state = random_smooth_state(grid, np.random.default_rng(3))
+        params = PhysicsParams(N0=0.2, alpha=1.0 / 137.0, a=0.5)
+        opts = SolverOptions(t_end=1.0)
+        dE, dn_e, dn_p, dp_e, dp_p = rhs(state, PARAMS, opts)
+        loss = kernels.recombination_loss(state.n_e, state.n_p, params.a)
+        drag_e = kernels.recombination_momentum_exchange(state.p_e, state.p_p, state.n_p, params.a)
+        drag_p = kernels.recombination_momentum_exchange(state.p_p, state.p_e, state.n_e, params.a)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rhs called a public recombination kernel")
+
+        for name in ("recombination_loss", "recombination_momentum_exchange"):
+            monkeypatch.setattr(kernels, name, refuse)
+            monkeypatch.setattr(sv, name, refuse, raising=False)
+        got = rhs(state, params, opts)
+        want = (dE, dn_e - loss, dn_p - loss, dp_e + drag_e, dp_p + drag_p)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
     def test_nan_rejected(self):
         grid = Grid1D(half_width=100.0, cells=64)
@@ -238,9 +263,11 @@ class TestRk4Step:
         rk4_step(state, 0.4 * grid.dx, PARAMS, opts)
         assert len(calls) == 1 + 4
 
-    @pytest.mark.parametrize("displacement_terms, expected", [(False, 4), (True, 6)])
-    def test_ddx_calls_per_rhs(self, monkeypatch, displacement_terms, expected):
-        # with the displacement terms off no derivative of an all-zero flux is taken
+    @pytest.mark.parametrize("bohm", [False, True], ids=["bohm_off", "bohm_on"])
+    @pytest.mark.parametrize("displacement_terms", [False, True], ids=["disp_off", "disp_on"])
+    def test_ddx_calls_per_rhs(self, monkeypatch, displacement_terms, bohm):
+        # one stencil per evolved equation: the continuity equations take the
+        # combined flux n_s v_s -/+ D_s, the momentum equations g_s - Q_s/2
         calls = []
 
         def counted(f, dx, *args, **kwargs):
@@ -250,8 +277,9 @@ class TestRk4Step:
         monkeypatch.setattr(sv, "ddx", counted)
         grid = Grid1D(half_width=24000.0, cells=64)
         state = random_smooth_state(grid, np.random.default_rng(2))
-        rhs(state, PARAMS, SolverOptions(t_end=1.0, displacement_terms=displacement_terms))
-        assert len(calls) == expected
+        opts = SolverOptions(t_end=1.0, displacement_terms=displacement_terms, bohm=bohm)
+        rhs(state, PARAMS, opts)
+        assert len(calls) == 4
 
     def test_mirror_equivariance_is_bit_exact(self):
         rng = np.random.default_rng(5)
@@ -388,8 +416,14 @@ def reference_pair_factor(E, params):
     return np.where(weak, 0.0, np.exp(-np.pi / np.where(weak, 1.0, abs_e)) / params.N0)
 
 
-def reference_rhs(s, params, opts):
-    """The allocating right-hand side, one new array per operation."""
+def reference_rhs(s, params, opts, fold=True):
+    """The allocating right-hand side, one new array per operation.
+
+    With `fold` (the solver's form) each equation takes one stencil: of
+    flux_e - D_e, flux_p + D_p and g_s - Q_s/2, Q_s the Bohm potential.
+    Without it each piece is differentiated on its own, as the solver did
+    before; the two forms differ only by rounding.
+    """
     dx = s.grid.dx
     gamma_e = np.sqrt(1.0 + s.p_e * s.p_e)
     gamma_p = np.sqrt(1.0 + s.p_p * s.p_p)
@@ -397,19 +431,33 @@ def reference_rhs(s, params, opts):
     flux_p = s.n_p * (s.p_p / gamma_p)
     phi = reference_pair_factor(s.E, params)
     q0 = s.E * s.E * phi
-    dn_e = -roll_ddx(flux_e, dx) + q0
-    dn_p = -roll_ddx(flux_p, dx) + q0
     current = flux_e - flux_p
-    if opts.displacement_terms:
+    if not opts.displacement_terms:
+        dn_e = q0 - roll_ddx(flux_e, dx)
+        dn_p = q0 - roll_ddx(flux_p, dx)
+    else:
         e_phi = s.E * phi
         disp_e = gamma_e * e_phi
         disp_p = gamma_p * e_phi
-        dn_e = dn_e + roll_ddx(disp_e, dx)
-        dn_p = dn_p - roll_ddx(disp_p, dx)
         sign = 1.0 if opts.ampere_sign_flip else -1.0
         current = current + sign * (disp_e + disp_p)
-    dp_e = -roll_ddx(gamma_e, dx) - s.E
-    dp_p = -roll_ddx(gamma_p, dx) + s.E
+        if fold:
+            dn_e = q0 - roll_ddx(flux_e - disp_e, dx)
+            dn_p = q0 - roll_ddx(flux_p + disp_p, dx)
+        else:
+            dn_e = q0 - roll_ddx(flux_e, dx) + roll_ddx(disp_e, dx)
+            dn_p = q0 - roll_ddx(flux_p, dx) - roll_ddx(disp_p, dx)
+    potential_e, potential_p = gamma_e, gamma_p
+    if opts.bohm:
+        root_e = np.sqrt(s.n_e / gamma_e)
+        root_p = np.sqrt(s.n_p / gamma_p)
+        bohm_e = roll_d2dx2(root_e, dx) / root_e
+        bohm_p = roll_d2dx2(root_p, dx) / root_p
+        if fold:
+            potential_e = gamma_e - 0.5 * bohm_e
+            potential_p = gamma_p - 0.5 * bohm_p
+    dp_e = -roll_ddx(potential_e, dx) - s.E
+    dp_p = -roll_ddx(potential_p, dx) + s.E
     a = params.a
     if a != 0.0:
         loss = a * (s.n_e * s.n_p)
@@ -417,11 +465,9 @@ def reference_rhs(s, params, opts):
         dn_p = dn_p - loss
         dp_e = dp_e + -a * (s.n_p * (s.p_e - s.p_p))
         dp_p = dp_p + -a * (s.n_e * (s.p_p - s.p_e))
-    if opts.bohm:
-        root_e = np.sqrt(s.n_e / gamma_e)
-        root_p = np.sqrt(s.n_p / gamma_p)
-        dp_e = dp_e + 0.5 * roll_ddx(roll_d2dx2(root_e, dx) / root_e, dx)
-        dp_p = dp_p + 0.5 * roll_ddx(roll_d2dx2(root_p, dx) / root_p, dx)
+    if opts.bohm and not fold:
+        dp_e = dp_e + 0.5 * roll_ddx(bohm_e, dx)
+        dp_p = dp_p + 0.5 * roll_ddx(bohm_p, dx)
     if opts.nu_h != 0.0:
         dn_e = dn_e + roll_hyperdiffusion(s.n_e, opts.nu_h)
         dn_p = dn_p + roll_hyperdiffusion(s.n_p, opts.nu_h)
@@ -430,14 +476,14 @@ def reference_rhs(s, params, opts):
     return params.omega_pe_sq * current, dn_e, dn_p, dp_e, dp_p
 
 
-def reference_step(s, dt, params, opts):
+def reference_step(s, dt, params, opts, fold=True):
     def shifted(k, h):
         return SimState(s.grid, s.t + h, *(u + h * d for u, d in zip(fields_of(s), k)))
 
-    k1 = reference_rhs(s, params, opts)
-    k2 = reference_rhs(shifted(k1, 0.5 * dt), params, opts)
-    k3 = reference_rhs(shifted(k2, 0.5 * dt), params, opts)
-    k4 = reference_rhs(shifted(k3, dt), params, opts)
+    k1 = reference_rhs(s, params, opts, fold)
+    k2 = reference_rhs(shifted(k1, 0.5 * dt), params, opts, fold)
+    k3 = reference_rhs(shifted(k2, 0.5 * dt), params, opts, fold)
+    k4 = reference_rhs(shifted(k3, dt), params, opts, fold)
     sixth = dt / 6.0
     new = [
         u + sixth * ((a + d) + 2.0 * (b + c))
@@ -496,25 +542,60 @@ class TestWorkspaceReference:
         ),
     }
 
-    @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_run_equals_reference(self, name):
-        params, opts = self.CONFIGS[name]
-        config = _MiniConfig(physics=params, solver=opts)
-        result = run(config)
-
+    @staticmethod
+    def reference_run(config, fold):
+        params, opts = config.physics, config.solver
         state = initial_condition(config.ic, config.grid, params)
         n_steps, dt = sv._plan_steps(opts, config.grid.dx)
         initial_n_e = integrate(state.n_e, config.grid.dx)
         records = [reference_record(state, params, initial_n_e)]
         for _ in range(n_steps):
-            state = reference_step(state, dt, params, opts)
+            state = reference_step(state, dt, params, opts, fold)
             records.append(reference_record(state, params, initial_n_e))
-
         assert n_steps >= 20
+        return records, state
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_run_equals_reference(self, name):
+        params, opts = self.CONFIGS[name]
+        config = _MiniConfig(physics=params, solver=opts)
+        result = run(config)
+        records, state = self.reference_run(config, fold=True)
+
         assert [dataclasses.astuple(r) for r in result.records] == records
         for got, want in zip(fields_of(result.state), fields_of(state)):
             assert np.array_equal(got, want)
         assert result.state.t == state.t
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_run_matches_unfolded_formulas(self, name):
+        # One stencil of a sum in place of a sum of stencils changes rounding
+        # only. Where the Gauss residual sits at rounding level its relative
+        # noise is large, so it is compared to an absolute tolerance.
+        params, opts = self.CONFIGS[name]
+        config = _MiniConfig(physics=params, solver=opts)
+        result = run(config)
+        records, state = self.reference_run(config, fold=False)
+
+        got = np.array([dataclasses.astuple(r) for r in result.records])
+        want = np.array(records)
+        gauss = SERIES_COLUMNS.index("gauss_residual")
+        np.testing.assert_allclose(np.delete(got, gauss, 1), np.delete(want, gauss, 1), rtol=1e-12)
+        np.testing.assert_allclose(got[:, gauss], want[:, gauss], rtol=1e-12, atol=1e-12)
+        for g, w in zip(fields_of(result.state), fields_of(state)):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_workspace_records_equal_public_records(self, name):
+        params, opts = self.CONFIGS[name]
+        config = _MiniConfig(
+            physics=params, solver=opts, output=OutputConfig(series_every=1, snapshot_every=1)
+        )
+        result = run(config)
+        initial_n_e = integrate(result.snapshots[0][1].n_e, config.grid.dx)
+        assert len(result.records) == len(result.snapshots) >= 21
+        for record, (_, snap) in zip(result.records, result.snapshots):
+            assert record == make_record(snap, params, initial_n_e)
 
 
 class TestWorkspaceMemory:
@@ -556,32 +637,63 @@ class TestWorkspaceMemory:
             assert not np.shares_memory(a, b)
             assert np.array_equal(a, k) and np.array_equal(b, k)
 
+    def test_rhs_leaves_primed_buffers_unchanged(self):
+        # a run's record and the next stage 1 read gamma and phi of the primed
+        # state after rhs has used the workspace's pads for the folded fluxes
+        grid = Grid1D(half_width=24000.0, cells=64)
+        state = random_smooth_state(grid, np.random.default_rng(6))
+        params = PhysicsParams(N0=0.2, alpha=1.0 / 137.0, a=1e-3)
+        opts = SolverOptions(t_end=1.0, bohm=True, nu_h=0.01)
+        work = Workspace(grid.cells)
+        work.prime(state, params)
+        primed = [work.gamma_e[2:-2].copy(), work.gamma_p[2:-2].copy(), work.phi.copy()]
+        first = [d.copy() for d in rhs(state, params, opts, work)]
+        assert work.primed is state
+        for got, want in zip((work.gamma_e[2:-2], work.gamma_p[2:-2], work.phi), primed):
+            assert np.array_equal(got, want)
+        for got, want in zip(rhs(state, params, opts, work), first):
+            assert np.array_equal(got, want)
+
     def test_step_memory_is_bounded(self, monkeypatch):
         # High-water mark of traced memory above its level at the start of each
         # step (the step, gamma/phi of its result and its record), in arrays of M
         # values. Stepping through the workspace needs the returned state (5)
         # plus a record's temporaries; allocating every intermediate took 37.
+        # Each record is also measured alone: it computes in the workspace's
+        # free buffers and allocates no array of M values (the public form
+        # took 6).
         cells = 8192
         grid = Grid1D(half_width=24000.0, cells=cells)
         config = _MiniConfig(grid=grid, solver=SolverOptions(dt=0.4 * grid.dx, t_end=20 * 0.4 * grid.dx))
-        marks = []
+        marks, record_marks = [], []
 
         def measured(*args, **kwargs):
-            current, peak = tracemalloc.get_traced_memory()
+            peak = max(tracemalloc.get_traced_memory()[1], measured.carry)
             marks.append((peak - measured.base) / (8 * cells))
             tracemalloc.reset_peak()
-            measured.base = tracemalloc.get_traced_memory()[0]
+            measured.base, measured.carry = tracemalloc.get_traced_memory()[0], 0
             return rk4_step(*args, **kwargs)
 
+        def measured_record(*args, **kwargs):
+            # resetting the peak here must not hide the step's peak from `measured`
+            current, peak = tracemalloc.get_traced_memory()
+            measured.carry = max(measured.carry, peak)
+            tracemalloc.reset_peak()
+            record = make_record(*args, **kwargs)
+            record_marks.append((tracemalloc.get_traced_memory()[1] - current) / (8 * cells))
+            return record
+
         monkeypatch.setattr(sv, "rk4_step", measured)
+        monkeypatch.setattr(sv, "make_record", measured_record)
         tracemalloc.start()
         try:
-            measured.base = tracemalloc.get_traced_memory()[0]
+            measured.base, measured.carry = tracemalloc.get_traced_memory()[0], 0
             result = run(config)
         finally:
             tracemalloc.stop()
-        assert len(result.records) == 21 and len(marks) == 20
+        assert len(result.records) == 21 and len(marks) == 20 and len(record_marks) == 21
         assert max(marks[1:]) <= 12.0  # marks[0] covers set-up and the workspace
+        assert max(record_marks) < 0.1
 
 
 class TestScanCounts:
