@@ -8,8 +8,9 @@ Grammar (one assignment per line):
 
 Unknown keys, duplicate keys, malformed lines and out-of-range values are
 rejected with the offending line number. Floats accept decimal or scientific
-notation (locale-independent); booleans accept on/off, true/false, yes/no,
-1/0. `solver.dt` and `solver.cfl` are mutually exclusive.
+notation (locale-independent) and must be finite (inf and nan are bad
+values); booleans accept on/off, true/false, yes/no, 1/0. `solver.dt` and
+`solver.cfl` are mutually exclusive.
 
 Each section is a field of `RunConfig`; its keys, their types and their
 defaults are the init fields of that field's dataclass, and the parser reads
@@ -25,6 +26,7 @@ them from there (`_SCHEMA`). Summary:
     output:  dir=out  series_every=1  snapshot_every=40
 """
 
+import math
 import typing
 from dataclasses import dataclass, field, fields
 
@@ -67,6 +69,13 @@ def _parse_int(text: str) -> int:
     return int(text, 10)
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 # section name -> dataclass, in RunConfig field order
 _SECTIONS = {f.name: f.type for f in fields(RunConfig)}
 
@@ -75,7 +84,7 @@ def _parser(annotation):
     """Value parser for a field type; Optional[X] parses as X."""
     args = [arg for arg in typing.get_args(annotation) if arg is not type(None)]
     kind = args[0] if args else annotation
-    return {bool: _parse_bool, int: _parse_int}.get(kind, kind)
+    return {bool: _parse_bool, int: _parse_int, float: _parse_float}.get(kind, kind)
 
 
 # (section, key) -> value parser, in field order. Keys absent from a config

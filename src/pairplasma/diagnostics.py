@@ -69,7 +69,7 @@ def _buffers(work, cells: int):
     Workspace, or new arrays when `work` is None."""
     if work is None:
         return np.empty(cells + 4), np.empty(cells), np.empty(cells)
-    return work.pad_e, work.scratch, work.tmp
+    return work.pad[0], work.scratch, work.tmp[0]
 
 
 def gauss_residual(state, omega_pe_sq: float, work=None) -> float:
@@ -84,7 +84,7 @@ def gauss_residual(state, omega_pe_sq: float, work=None) -> float:
     source += state.n_p
     source *= omega_pe_sq
     res -= source
-    return float(np.max(np.abs(res, out=res)))
+    return float(np.maximum.reduce(np.abs(res, out=res)))
 
 
 def energy_balance_rhs(state, params: PhysicsParams, work=None) -> float:
@@ -109,21 +109,22 @@ def energy_balance_rhs(state, params: PhysicsParams, work=None) -> float:
 def make_record(state, params: PhysicsParams, initial_n_e: float, work=None) -> SeriesRecord:
     """One series row for `state`.
 
-    `work` is a solver Workspace primed for `state`: its gamma_e, gamma_p
-    and phi = exp(-pi/|E|)/N0 are used, and its pad_e, scratch and tmp
-    buffers, free between steps, hold the temporaries, so the record
-    allocates no array of M values. Without it gamma and phi are computed
-    here into new arrays. Both forms run the same operations in the same
-    order, so their records are identical.
+    `work` is a solver Workspace primed for `state`: its gamma and
+    phi = exp(-pi/|E|)/N0 are used, and its free buffers (pad rows 0-1,
+    scratch and tmp) hold the temporaries, so the record allocates no array
+    of M values. Without it gamma and phi are computed here into new
+    arrays. Both forms run the same operations in the same order, so their
+    records are identical. Sums and maxima call `np.add.reduce` and
+    `np.maximum.reduce`, the reductions `np.sum` and `np.max` wrap.
     """
     dx = state.grid.dx
     if work is None:
-        gamma_e, gamma_p = lorentz_gamma(state.p_e), lorentz_gamma(state.p_p)
-        buf = np.empty(state.grid.cells)
+        gamma = lorentz_gamma(state.p)
+        buf, pair = np.empty(state.grid.cells), np.empty(gamma.shape)
     else:
-        gamma_e, gamma_p, buf = work.gamma_e[2:-2], work.gamma_p[2:-2], work.scratch
-    kin_e = integrate(np.multiply(state.n_e, gamma_e, out=buf), dx)
-    kin_p = integrate(np.multiply(state.n_p, gamma_p, out=buf), dx)
+        gamma, buf, pair = work.gamma, work.scratch, work.tmp[:2]
+    # one pairwise sum per row, the same sums as integrate() of each row
+    kin_e, kin_p = (dx * np.add.reduce(np.multiply(state.n, gamma, out=pair), axis=1)).tolist()
     energy_density = np.multiply(state.E, state.E, out=buf)
     energy_density /= 2.0 * params.omega_pe_sq
     fld = integrate(energy_density, dx)
@@ -136,8 +137,8 @@ def make_record(state, params: PhysicsParams, initial_n_e: float, work=None) -> 
         total_energy=total,
         total_energy_sub=total - 2.0 * state.grid.length,
         delta_pairs=pair_count_delta(state, initial_n_e),
-        max_abs_E=float(np.max(np.abs(state.E, out=buf))),
-        max_gamma=float(max(np.max(gamma_e), np.max(gamma_p))),
+        max_abs_E=float(np.maximum.reduce(np.abs(state.E, out=buf))),
+        max_gamma=float(np.maximum.reduce(gamma, axis=None)),
         gauss_residual=gauss_residual(state, params.omega_pe_sq, work),
         balance_rhs=energy_balance_rhs(state, params, work),
     )

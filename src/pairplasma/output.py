@@ -55,12 +55,12 @@ def write_snapshot(state, index: int, outdir, x_text=None) -> Path:
     path = Path(outdir) / snapshot_filename(index)
     if x_text is None:
         x_text = format_column(state.grid.x)
-    fields_ = (state.E, state.n_e, state.n_p, state.p_e, state.p_p)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# t = {_fmt(state.t)}\n{','.join(SNAPSHOT_COLUMNS)}\n")
         for start in range(0, len(x_text), _ROWS_PER_WRITE):
             block = slice(start, start + _ROWS_PER_WRITE)
-            columns = (x_text[block], *(f[block].tolist() for f in fields_))
+            # the five field rows of the state's (5, M) array, in column order
+            columns = (x_text[block], *state.u[:, block].tolist())
             # %r of a Python float is its repr, the same text as _fmt
             fh.write("".join(["%s,%r,%r,%r,%r,%r\n" % row for row in zip(*columns)]))
     return path

@@ -44,7 +44,7 @@ def random_smooth_state(grid: Grid1D, rng: np.random.Generator, n_modes: int = 6
         peak = np.max(np.abs(f))
         return scale * f / peak if peak > 0 else f
 
-    return SimState(
+    return SimState.from_fields(
         grid,
         t=0.0,
         E=smooth(0.8),

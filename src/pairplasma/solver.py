@@ -38,15 +38,28 @@ n <= 0 as a hard stop instead. The Bohm and recombination terms are
 undefined at n <= 0, so with either on the same stop applies. No clamping
 or smoothing is ever applied.
 
+A state stores its five fields as the rows of one (5, M) array `u` (E, n_e,
+n_p, p_e, p_p), and the derivatives, stage states and RK4 sums are (5, M)
+arrays in the same order. The model is symmetric in the two species, so
+each term of a species pair, (n_e, n_p) or (p_e, p_p), is one numpy call on
+two rows, a stage state u + h k is two calls on the whole array, and one
+stencil call differentiates both combined fluxes and both gammas (two calls
+with the Bohm term). The results are bit-identical to evaluating every
+field on its own: each operation is elementwise, in the same order. Where
+a stack of rows is too large to stay in cache between the passes of one
+operation, the stencils and the RK4 sums run row by row
+(`grid.row_groups`).
+
 Finite checks run on every state the integrator evaluates, each once.
 `initial_condition` scans the initial state and `rk4_step` scans the state
 it returns; `rhs` scans its input unless its workspace already holds that
 state's gamma and phi (below), which is the case for stage 1 of every step
 in a run, a state one of those two scans just covered. So a step makes
-four scans: the inputs of stages 2-4 and its result. Derivatives are not
-scanned on their own, because a non-finite derivative makes the next stage
-state or the step result non-finite. Each check raises
-NumericalBreakdownError with the time and the first offending cell. With
+four scans: the inputs of stages 2-4 and its result, one `isfinite` over
+all five rows each. Derivatives are not scanned on their own, because a
+non-finite derivative makes the next stage state or the step result
+non-finite. Each check raises NumericalBreakdownError with the time and the
+first offending cell (column), whichever row holds the bad value. With
 the Bohm term, recombination or `stop_on_negative_density` on, `rhs` also
 checks n > 0 once per stage; the Bohm potential and the recombination
 terms are then evaluated in place without a second density scan.
@@ -62,8 +75,8 @@ buffers (`diagnostics.make_record`), so it allocates no array of M values.
 it: padded stencil buffers, the four RK4 derivatives and the stage states
 are reused by every stage of every step, with results bit-identical to
 evaluating each formula into new arrays. A workspace belongs to one run
-(or one caller) and is not shared. `rk4_step` still returns a state of new
-arrays, so states and snapshots never alias the workspace. `rhs` and
+(or one caller) and is not shared. `rk4_step` still returns a state with a new
+array, so states and snapshots never alias the workspace. `rhs` and
 `rk4_step` called without a workspace build a fresh one, so they stay pure
 and may be evaluated concurrently on snapshots.
 """
@@ -75,8 +88,16 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import make_record
-from .errors import InvalidParameterError, NumericalBreakdownError
-from .grid import Grid1D, bohm_potential, ddx, hyperdiffusion, integrate, poisson_init_E
+from .errors import ConfigError, InvalidParameterError, NumericalBreakdownError
+from .grid import (
+    Grid1D,
+    bohm_potential,
+    ddx,
+    hyperdiffusion,
+    integrate,
+    poisson_init_E,
+    row_groups,
+)
 from .kernels import PhysicsParams, lorentz_gamma, pair_factor
 from .output import read_snapshot
 
@@ -85,29 +106,61 @@ CFL_MAX = 0.5
 
 IC_KINDS = ("gaussian", "sine", "uniform", "file")
 
+# A restart snapshot's x column may differ from the grid's cell centres by at
+# most this fraction of a cell (it is written in full precision, so a
+# snapshot of the same grid matches exactly).
+X_TOLERANCE = 1e-6
+
 
 @dataclass
 class SimState:
-    """Time plus the five evolved fields, all on one grid."""
+    """Time plus the five evolved fields, all on one grid.
+
+    The fields are the rows of one C-contiguous (5, M) array `u`, in the
+    order E, n_e, n_p, p_e, p_p. `E`, `n_e`, ... are views of its rows, and
+    `n` = u[1:3] and `p` = u[3:5] are the species pairs. Build a state from
+    five separate fields with `SimState.from_fields`.
+    """
 
     grid: Grid1D
     t: float
-    E: np.ndarray
-    n_e: np.ndarray
-    n_p: np.ndarray
-    p_e: np.ndarray
-    p_p: np.ndarray
+    u: np.ndarray
+
+    @classmethod
+    def from_fields(cls, grid: Grid1D, t: float, E, n_e, n_p, p_e, p_p) -> "SimState":
+        """A state holding a copy of the five fields, stacked into one array."""
+        return cls(grid, t, np.array((E, n_e, n_p, p_e, p_p), dtype=np.float64))
+
+    @property
+    def E(self) -> np.ndarray:
+        return self.u[0]
+
+    @property
+    def n_e(self) -> np.ndarray:
+        return self.u[1]
+
+    @property
+    def n_p(self) -> np.ndarray:
+        return self.u[2]
+
+    @property
+    def p_e(self) -> np.ndarray:
+        return self.u[3]
+
+    @property
+    def p_p(self) -> np.ndarray:
+        return self.u[4]
+
+    @property
+    def n(self) -> np.ndarray:
+        return self.u[1:3]
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.u[3:5]
 
     def copy(self) -> "SimState":
-        return SimState(
-            self.grid,
-            self.t,
-            self.E.copy(),
-            self.n_e.copy(),
-            self.n_p.copy(),
-            self.p_e.copy(),
-            self.p_p.copy(),
-        )
+        return SimState(self.grid, self.t, self.u.copy())
 
 
 @dataclass
@@ -155,7 +208,10 @@ class InitialCondition:
     kind 'file':     n_e, n_p, p_e, p_p read from a snapshot CSV at `path`
 
     Momenta start at zero unless the file provides them; E always comes from
-    the Gauss-law solve so the state starts constraint-consistent.
+    the Gauss-law solve so the state starts constraint-consistent. A
+    snapshot must have the grid's cell count and its x column the grid's
+    cell centres (else the run stops with a configuration error), and a
+    restart runs from t = 0: the snapshot's own time is not carried over.
     """
 
     kind: str = "gaussian"
@@ -187,21 +243,20 @@ class RunResult:
     snapshots: list  # (index, SimState) pairs
 
 
-def _check_fields(t: float, *fields_: np.ndarray):
-    bad = ~np.isfinite(fields_[0])
-    for f in fields_[1:]:
-        bad |= ~np.isfinite(f)
-    if bad.any():
-        cell = int(np.argmax(bad))
+def _check_fields(t: float, u: np.ndarray):
+    """Raise NumericalBreakdownError at the first cell where any row of u is not finite."""
+    finite = np.isfinite(u)
+    if not finite.all():
+        cell = int(np.argmin(finite.all(axis=0)))
         raise NumericalBreakdownError(
             f"non-finite field value at t = {t:.6g}, cell {cell}", t=t, cell=cell
         )
 
 
 def _check_positive_densities(state: SimState):
-    neg = (state.n_e <= 0.0) | (state.n_p <= 0.0)
+    neg = state.n <= 0.0
     if neg.any():
-        cell = int(np.argmax(neg))
+        cell = int(np.argmax(neg.any(axis=0)))
         raise NumericalBreakdownError(
             f"density <= 0 at t = {state.t:.6g}, cell {cell} (cold-fluid wave breaking)",
             t=state.t,
@@ -209,138 +264,144 @@ def _check_positive_densities(state: SimState):
         )
 
 
+# Each workspace buffer starts at its own offset into a 4 KiB page, BUFFER_SKEW
+# bytes after the previous one. Large arrays that numpy allocates fresh all
+# start at the same page offset, and a loop that loads from one such array
+# while it stores into another stalls on false store-to-load dependencies
+# (4K aliasing): spreading the buffers made an RK4 step about 5-20% faster.
+PAGE_BYTES = 4096
+BUFFER_SKEW = 320
+
+
+def _at_page_offset(shape, offset: int) -> np.ndarray:
+    """Empty float array of `shape` whose data start `offset` bytes into a page."""
+    size = math.prod(shape)
+    raw = np.empty(size + PAGE_BYTES // 8)
+    start = (offset - raw.ctypes.data) % PAGE_BYTES // 8
+    return raw[start : start + size].reshape(shape)
+
+
 class Workspace:
     """Buffers for the RK4 steps of one run on one grid size, allocated once.
 
-    `prime` writes gamma_e and gamma_p into the interiors of padded buffers
-    (M + 4 values, see `grid.padded`), and rhs writes the combined fluxes
-    F_s, g_s - Q_s/2 and the hyperdiffusion inputs into pad_e and pad_p, so
-    each derivative refreshes only four ghost cells. The RK4 derivatives and
-    stage states live here too. `primed` is the state whose gamma_e, gamma_p
-    and phi the buffers hold; rhs reuses them for that state instead of
+    `pad` is one padded (4, M + 4) buffer (see `grid.padded`): rhs writes
+    the combined fluxes F_e and F_p into the interiors of rows 0-1, and
+    `prime` writes gamma_e and gamma_p into the interiors of rows 2-3
+    (`gamma`), so one stencil call differentiates all four and refreshes
+    only their ghost cells. With the Bohm term on, rows 0-1 then take
+    g_s - Q_s/2 and `root` the padded (n_s/g_s)^{1/2}. The RK4 derivatives
+    `k` and the stage state `stage` are (5, M) arrays like a state's `u`;
+    `tmp` is (4, M) stencil scratch. `primed` is the state whose gamma and
+    phi the buffers hold; rhs reuses them for that state instead of
     recomputing them and rescanning it, and never writes into them. The
-    solver never writes into a state's arrays, so the state object
-    identifies its values. Between steps pad_e, scratch and tmp are free
-    for the series record.
+    solver never writes into a state's array, so the state object
+    identifies its values. Between steps pad rows 0-1, scratch and tmp are
+    free for the series record.
     """
 
     def __init__(self, cells: int):
-        def fields_():
-            return tuple(np.empty(cells) for _ in range(5))
-
-        self.gamma_e, self.gamma_p, self.pad_e, self.pad_p = (np.empty(cells + 4) for _ in range(4))
-        self.phi, self.tmp, self.scratch = np.empty(cells), np.empty(cells), np.empty(cells)
-        self.k = fields_(), fields_(), fields_()
-        self.stage = fields_()
+        shapes = [(4, cells + 4), (2, cells + 4), (cells,), (cells,), (4, cells)] + [(5, cells)] * 4
+        skewed = (_at_page_offset(shape, i * BUFFER_SKEW) for i, shape in enumerate(shapes))
+        self.pad, self.root, self.phi, self.scratch, self.tmp, k1, k2, k3, self.stage = skewed
+        self.k = (k1, k2, k3)
+        self.gamma = self.pad[2:4, 2:-2]
         self.primed = None
 
     def prime(self, state: SimState, params: PhysicsParams):
         """Compute gamma_e, gamma_p and phi of `state`, which must be known finite."""
-        lorentz_gamma(state.p_e, out=self.gamma_e[2:-2])
-        lorentz_gamma(state.p_p, out=self.gamma_p[2:-2])
+        lorentz_gamma(state.p, out=self.gamma)
         pair_factor(state.E, params.N0, params.eps_field, out=self.phi)
         self.primed = state
 
 
-def _fields(state: SimState):
-    return state.E, state.n_e, state.n_p, state.p_e, state.p_p
-
-
 def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, out=None):
-    """Time derivatives (dE, dn_e, dn_p, dp_e, dp_p) of the semi-discrete system.
+    """Time derivatives of the semi-discrete system, as a (5, M) array.
 
+    Its rows are dE, dn_e, dn_p, dp_e, dp_p, in the order of a state's `u`.
     Checks that its input is finite unless `work` is primed for this state;
     the derivatives themselves are not scanned (rk4_step scans the state it
     returns). Uses a new Workspace when `work` is None, and writes into the
-    five arrays `out` when given, else into new ones.
+    (5, M) array `out` when given, else into a new one. Each species pair
+    (n_e, n_p), (p_e, p_p) is computed by one call on its two rows.
     """
     if work is None:
         work = Workspace(state.grid.cells)
+    u = state.u
     if work.primed is not state:
-        _check_fields(state.t, *_fields(state))
+        _check_fields(state.t, u)
         work.prime(state, params)
     # Bohm and recombination are undefined for n <= 0: stop as a breakdown
     # (with t and cell) rather than fail inside their kernels.
     if opts.stop_on_negative_density or opts.bohm or params.a != 0.0:
         _check_positive_densities(state)
     if out is None:
-        out = tuple(np.empty(state.grid.cells) for _ in range(5))
-    dE, dn_e, dn_p, dp_e, dp_p = out
+        out = np.empty(u.shape)
     dx = state.grid.dx
-    E = state.E
-    tmp, scratch, pad_e, pad_p = work.tmp, work.scratch, work.pad_e, work.pad_p
-    gamma_e, gamma_p = work.gamma_e[2:-2], work.gamma_p[2:-2]
+    E, n, p = u[0], u[1:3], u[3:5]
+    dE, dn, dp = out[0], out[1:3], out[3:5]
+    tmp, scratch, pad, gamma = work.tmp, work.scratch, work.pad, work.gamma
+    flux_pad = pad[:2]
 
-    flux_e = np.divide(state.p_e, gamma_e, out=pad_e[2:-2])
-    flux_e *= state.n_e
-    flux_p = np.divide(state.p_p, gamma_p, out=pad_p[2:-2])
-    flux_p *= state.n_p
-    current = np.subtract(flux_e, flux_p, out=dE)
+    flux = np.divide(p, gamma, out=flux_pad[:, 2:-2])
+    flux *= n
+    current = np.subtract(flux[0], flux[1], out=dE)
     if opts.displacement_terms:
-        # D_s waits in the dn_s slots, which the stencils below overwrite
+        # D_s waits in the dn slots, which the stencil below overwrites
         e_phi = np.multiply(E, work.phi, out=scratch)
-        disp_e = np.multiply(gamma_e, e_phi, out=dn_e)
-        disp_p = np.multiply(gamma_p, e_phi, out=dn_p)
-        disp = np.add(disp_e, disp_p, out=scratch)
+        disp = np.multiply(gamma, e_phi, out=dn)
+        disp_sum = np.add(disp[0], disp[1], out=scratch)
         if opts.ampere_sign_flip:
-            current += disp
+            current += disp_sum
         else:
-            current -= disp
-        flux_e -= disp_e
-        flux_p += disp_p
+            current -= disp_sum
+        flux[0] -= disp[0]
+        flux[1] += disp[1]
     current *= params.omega_pe_sq
-    # one stencil per continuity equation, on its combined flux n_s v_s -/+ D_s
     q0 = np.multiply(E, E, out=scratch)
     q0 *= work.phi
-    np.subtract(q0, ddx(pad_e, dx, out=dn_e, tmp=tmp), out=dn_e)
-    np.subtract(q0, ddx(pad_p, dx, out=dn_p, tmp=tmp), out=dn_p)
 
-    # one stencil per momentum equation, of g_s, or of g_s - Q_s/2 with the
-    # Bohm potential Q_s written into a free pad; the primed gammas stay unchanged
-    for n, gamma, pad, root, dp in (
-        (state.n_e, work.gamma_e, pad_e, pad_p, dp_e),
-        (state.n_p, work.gamma_p, pad_p, pad_e, dp_p),
-    ):
-        if opts.bohm:
-            half_q = bohm_potential(n, gamma[2:-2], dx, out=pad, s=root, tmp=tmp)[2:-2]
-            half_q *= 0.5
-            np.subtract(gamma[2:-2], half_q, out=half_q)
-            gamma = pad
-        ddx(gamma, dx, out=dp, tmp=tmp)
-    np.negative(dp_e, out=dp_e)
-    dp_e -= E
-    np.subtract(E, dp_p, out=dp_p)
+    # one stencil per evolved equation: of the combined fluxes F_s, and of
+    # g_s, or of g_s - Q_s/2 with the Bohm potential Q_s written into the
+    # flux rows once their stencil is taken; the primed gammas stay unchanged
+    if opts.bohm:
+        ddx(flux_pad, dx, out=dn, tmp=tmp[:2])
+        half_q = bohm_potential(n, gamma, dx, out=flux_pad, s=work.root, tmp=tmp[:2])[:, 2:-2]
+        half_q *= 0.5
+        np.subtract(gamma, half_q, out=half_q)
+        ddx(flux_pad, dx, out=dp, tmp=tmp[:2])
+    else:
+        ddx(pad, dx, out=out[1:5], tmp=tmp)
+    np.subtract(q0, dn, out=dn)
+    # -ddx - E and -ddx + E, which equals E - ddx in every bit
+    np.negative(dp, out=dp)
+    dp[0] -= E
+    dp[1] += E
 
     if params.a != 0.0:
         # the loss a*(n_e*n_p) and the drag -a*(n_other*(p_self - p_other)) in
         # the order of the public kernels, without their n >= 0 scans
-        loss = np.multiply(state.n_e, state.n_p, out=scratch)
+        loss = np.multiply(n[0], n[1], out=scratch)
         loss *= params.a
-        dn_e -= loss
-        dn_p -= loss
-        for p_self, p_other, n_other, dp in (
-            (state.p_e, state.p_p, state.n_p, dp_e),
-            (state.p_p, state.p_e, state.n_e, dp_p),
-        ):
-            drag = np.subtract(p_self, p_other, out=scratch)
-            drag *= n_other
-            drag *= -params.a
-            dp += drag
+        dn -= loss
+        drag = np.subtract(p, p[::-1], out=tmp[:2])
+        drag *= n[::-1]
+        drag *= -params.a
+        dp += drag
 
     if opts.nu_h != 0.0:
-        for f, df in ((state.n_e, dn_e), (state.n_p, dn_p), (state.p_e, dp_e), (state.p_p, dp_p)):
-            pad_e[2:-2] = f
-            df += hyperdiffusion(pad_e, opts.nu_h, out=scratch, tmp=tmp)
+        for rows, d in ((n, dn), (p, dp)):
+            flux_pad[:, 2:-2] = rows
+            d += hyperdiffusion(flux_pad, opts.nu_h, out=tmp[:2], tmp=tmp[2:])
 
     return out
 
 
-def _stage(state: SimState, deriv, h: float, work: Workspace) -> SimState:
-    """The RK4 stage state u + h*k, in the workspace's stage buffers."""
-    for s, u, k in zip(work.stage, _fields(state), deriv):
-        np.multiply(k, h, out=s)
-        s += u
-    return SimState(state.grid, state.t + h, *work.stage)
+def _stage(state: SimState, deriv: np.ndarray, h: float, work: Workspace) -> SimState:
+    """The RK4 stage state u + h*k, in the workspace's stage buffer."""
+    for rows in row_groups(deriv.shape):
+        s = np.multiply(deriv[rows], h, out=work.stage[rows])
+        s += state.u[rows]
+    return SimState(state.grid, state.t + h, work.stage)
 
 
 def rk4_step(
@@ -348,9 +409,9 @@ def rk4_step(
 ) -> SimState:
     """One classical Runge-Kutta step of all five fields; bit-reproducible.
 
-    Steps through `work` (a new Workspace when None) and returns a state of
-    new arrays. Raises NumericalBreakdownError if any stage state or the
-    returned state holds a non-finite value.
+    Steps through `work` (a new Workspace when None) and returns a state
+    with a new array. Raises NumericalBreakdownError if any stage state or
+    the returned state holds a non-finite value.
     """
     if not (0.0 < dt <= CFL_MAX * state.grid.dx * (1.0 + 1e-12)):
         raise InvalidParameterError(
@@ -363,20 +424,19 @@ def rk4_step(
     k1 = rhs(state, params, opts, work, out=slot_a)
     k2 = rhs(_stage(state, k1, half, work), params, opts, work, out=slot_b)
     k3 = rhs(_stage(state, k2, half, work), params, opts, work, out=slot_c)
-    for b, c in zip(k2, k3):
-        b += c
+    k2 += k3
     k4 = rhs(_stage(state, k3, dt, work), params, opts, work, out=slot_c)
     # u + dt/6 * ((k1 + k4) + 2 (k2 + k3)) in this order, accumulated in k1's and k2's slots
-    sixth = dt / 6.0
-    fields_ = []
-    for u, a, bc, d in zip(_fields(state), k1, k2, k4):
-        a += d
+    u = np.empty(state.u.shape)
+    for rows in row_groups(u.shape):
+        a, bc = k1[rows], k2[rows]
+        a += k4[rows]
         bc *= 2.0
         a += bc
-        a *= sixth
-        fields_.append(u + a)
-    _check_fields(state.t + dt, *fields_)
-    return SimState(state.grid, state.t + dt, *fields_)
+        a *= dt / 6.0
+        np.add(state.u[rows], a, out=u[rows])
+    _check_fields(state.t + dt, u)
+    return SimState(state.grid, state.t + dt, u)
 
 
 def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams) -> SimState:
@@ -403,9 +463,15 @@ def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams)
             raise InvalidParameterError(
                 f"snapshot has {len(n_e)} cells but the grid has {grid.cells}"
             )
+        # `not <=` also rejects a NaN in the x column
+        if not np.max(np.abs(fields_["x"] - grid.x)) <= X_TOLERANCE * grid.dx:
+            raise ConfigError(
+                f"snapshot {ic.path}: its x column is not the grid's cell centres "
+                f"(half_width {grid.half_width!r}, cells {grid.cells})"
+            )
     E = poisson_init_E(n_e, n_p, params.omega_pe_sq, grid)
-    state = SimState(grid, 0.0, E, n_e, n_p, p_e, p_p)
-    _check_fields(0.0, E, n_e, n_p, p_e, p_p)
+    state = SimState.from_fields(grid, 0.0, E, n_e, n_p, p_e, p_p)
+    _check_fields(0.0, state.u)
     _check_positive_densities(state)  # initial data must be strictly positive
     return state
 

@@ -11,6 +11,7 @@ import pytest
 import pairplasma
 from pairplasma import __version__
 from pairplasma.cli import cli_main
+from pairplasma.grid import Grid1D
 
 SMALL_RUN = """
 physics.alpha = 0.0072992700729927005
@@ -45,6 +46,16 @@ class TestRunCommand:
         cfg = write_config(tmp_path, "physics.N0 = -1\n")
         assert cli_main(["run", cfg]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    # before the parser checked finiteness these ended in an OverflowError
+    # traceback, a "numerical breakdown" (exit 2) and a meaningless run (exit 0)
+    @pytest.mark.parametrize("line", ["solver.t_end = inf", "physics.N0 = inf", "ic.L = nan"])
+    def test_non_finite_value_exit_code(self, tmp_path, capsys, line):
+        cfg = write_config(tmp_path, f"grid.cells = 64\n{line}\noutput.dir = {tmp_path / 'out'}\n")
+        assert cli_main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("configuration error: line 2:")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert cli_main(["run", str(tmp_path / "absent.cfg")]) == 3
@@ -118,15 +129,38 @@ class TestBadRestartInput:
         if line is not None:
             assert f"line {line}:" in err
 
-    def test_good_snapshot_runs(self, tmp_path, capsys):
+    @staticmethod
+    def snapshot_on(tmp_path, half_width):
+        # a uniform state at the cell centres of an 8-cell grid of this half-width
+        rows = [f"{x!r},0.0,1.01,0.01,0.0,0.0\n" for x in Grid1D(half_width, 8).x.tolist()]
         snapshot = tmp_path / "restart.csv"
-        snapshot.write_text("# t = 0.0\nx,E,n_e,n_p,p_e,p_p\n" + f"{GOOD_ROW}\n" * 8)
+        snapshot.write_text("# t = 250.0\nx,E,n_e,n_p,p_e,p_p\n" + "".join(rows))
+        return snapshot
+
+    def test_good_snapshot_runs(self, tmp_path, capsys):
+        snapshot = self.snapshot_on(tmp_path, 24000.0)
         cfg = write_config(
             tmp_path,
             f"grid.cells = 8\nsolver.t_end = 10\nic.kind = file\nic.path = {snapshot}\n"
             f"output.dir = {tmp_path / 'out'}\n",
         )
         assert cli_main(["run", cfg]) == 0
+        # the restart clock starts at 0, whatever time the snapshot was taken at
+        assert (tmp_path / "out" / "series.csv").read_text().splitlines()[1].startswith("0.0,")
+
+    @pytest.mark.parametrize("half_width", [12000.0, 24000.0 * (1 + 1e-5)])
+    def test_snapshot_of_another_grid_is_config_error(self, tmp_path, capsys, half_width):
+        # same cell count, another box: the x column tells the grids apart
+        snapshot = self.snapshot_on(tmp_path, half_width)
+        cfg = write_config(
+            tmp_path,
+            f"grid.cells = 8\nsolver.t_end = 10\nic.kind = file\nic.path = {snapshot}\n"
+            f"output.dir = {tmp_path / 'out'}\n",
+        )
+        assert cli_main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("configuration error: ")
+        assert str(snapshot) in err and "x column" in err
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from pairplasma.config import RunConfig, format_config, parse_config
+from pairplasma.config import _SCHEMA, RunConfig, _parse_float, format_config, parse_config
 from pairplasma.diagnostics import SERIES_COLUMNS, make_record
 from pairplasma.errors import ConfigError
 from pairplasma.grid import Grid1D, integrate
@@ -21,7 +21,7 @@ from pairplasma.output import (
     write_snapshot,
 )
 from pairplasma.selfcheck import random_smooth_state
-from pairplasma.solver import InitialCondition, initial_condition
+from pairplasma.solver import InitialCondition, SimState, initial_condition
 
 PARAMS = PhysicsParams(N0=0.2, alpha=1.0 / 137.0)
 
@@ -116,6 +116,18 @@ class TestParseConfig:
             parse_config("solver.bohm = maybe\n")
         with pytest.raises(ConfigError, match="empty value"):
             parse_config("physics.N0 =\n")
+
+    # every float key: a non-finite value would crash, break down or run silently
+    FLOAT_KEYS = [".".join(key) for key, parse in _SCHEMA.items() if parse is _parse_float]
+
+    def test_float_keys_are_found(self):
+        assert len(self.FLOAT_KEYS) == 14 and "solver.t_end" in self.FLOAT_KEYS
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1e400"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_floats_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"line 2: bad value for {key}: not a finite number"):
+            parse_config(f"grid.cells = 64\n{key} = {value}\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -258,9 +270,7 @@ class TestSnapshotWriterBytes:
     def test_bytes_equal_per_value_writer(self, tmp_path):
         grid = Grid1D(half_width=24000.0, cells=len(self.SPECIAL))
         rolled = [np.roll(self.SPECIAL, k) for k in range(5)]
-        state = initial_condition(InitialCondition(kind="uniform"), grid, PARAMS)
-        state.t = 1e-5
-        state.E, state.n_e, state.n_p, state.p_e, state.p_p = rolled
+        state = SimState.from_fields(grid, 1e-5, *rolled)
         (tmp_path / "old").mkdir()
         want = per_value_snapshot(state, 7, tmp_path / "old").read_bytes()
         for x_text in (None, format_column(grid.x)):

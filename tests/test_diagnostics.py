@@ -24,7 +24,7 @@ def make_state(grid, E=0.0, n_e=1.0, n_p=1.0, p_e=0.0, p_p=0.0):
     def field(v):
         return np.full(m, float(v)) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
 
-    return SimState(grid, 0.0, field(E), field(n_e), field(n_p), field(p_e), field(p_p))
+    return SimState.from_fields(grid, 0.0, field(E), field(n_e), field(n_p), field(p_e), field(p_p))
 
 
 class TestTotalEnergy:
@@ -58,7 +58,7 @@ class TestTotalEnergy:
             p_e=rng.normal(size=64),
             p_p=rng.normal(size=64),
         )
-        mirrored = SimState(
+        mirrored = SimState.from_fields(
             grid,
             0.0,
             -state.E[::-1].copy(),

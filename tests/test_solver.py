@@ -40,7 +40,7 @@ PARAMS = PhysicsParams(N0=0.2, alpha=1.0 / 137.0)
 
 def uniform_state(grid, e_field=0.0, n_e=1.01, n_p=0.01, p_e=0.0, p_p=0.0):
     m = grid.cells
-    return SimState(
+    return SimState.from_fields(
         grid,
         0.0,
         np.full(m, float(e_field)),
@@ -267,7 +267,9 @@ class TestRk4Step:
     @pytest.mark.parametrize("displacement_terms", [False, True], ids=["disp_off", "disp_on"])
     def test_ddx_calls_per_rhs(self, monkeypatch, displacement_terms, bohm):
         # one stencil per evolved equation: the continuity equations take the
-        # combined flux n_s v_s -/+ D_s, the momentum equations g_s - Q_s/2
+        # combined flux n_s v_s -/+ D_s, the momentum equations g_s (one call
+        # on all four padded rows), or g_s - Q_s/2 with Bohm on (one more call
+        # on two rows, since the primed gammas must stay unchanged)
         calls = []
 
         def counted(f, dx, *args, **kwargs):
@@ -279,7 +281,7 @@ class TestRk4Step:
         state = random_smooth_state(grid, np.random.default_rng(2))
         opts = SolverOptions(t_end=1.0, displacement_terms=displacement_terms, bohm=bohm)
         rhs(state, PARAMS, opts)
-        assert len(calls) == 4
+        assert len(calls) == (2 if bohm else 1)
 
     def test_mirror_equivariance_is_bit_exact(self):
         rng = np.random.default_rng(5)
@@ -287,7 +289,7 @@ class TestRk4Step:
         state = random_smooth_state(grid, rng)
 
         def mirrored(s):
-            return SimState(
+            return SimState.from_fields(
                 s.grid,
                 s.t,
                 -s.E[::-1].copy(),
@@ -478,7 +480,7 @@ def reference_rhs(s, params, opts, fold=True):
 
 def reference_step(s, dt, params, opts, fold=True):
     def shifted(k, h):
-        return SimState(s.grid, s.t + h, *(u + h * d for u, d in zip(fields_of(s), k)))
+        return SimState.from_fields(s.grid, s.t + h, *(u + h * d for u, d in zip(fields_of(s), k)))
 
     k1 = reference_rhs(s, params, opts, fold)
     k2 = reference_rhs(shifted(k1, 0.5 * dt), params, opts, fold)
@@ -489,7 +491,7 @@ def reference_step(s, dt, params, opts, fold=True):
         u + sixth * ((a + d) + 2.0 * (b + c))
         for u, a, b, c, d in zip(fields_of(s), k1, k2, k3, k4)
     ]
-    return SimState(s.grid, s.t + dt, *new)
+    return SimState.from_fields(s.grid, s.t + dt, *new)
 
 
 def reference_record(s, params, initial_n_e):
@@ -618,10 +620,28 @@ class TestWorkspaceMemory:
                 return [a for v in value for a in arrays_in(v)]
             return []
 
-        buffers = [a for value in vars(made[0]).values() for a in arrays_in(value)]
-        assert len(buffers) == 4 + 3 + 15 + 5
+        work = made[0]
+        buffers = [a for value in vars(work).values() for a in arrays_in(value)]
+        cells = _MiniConfig().grid.cells
+        # nine disjoint buffers, each BUFFER_SKEW bytes further into a page than
+        # the one before (against 4K aliasing); gamma is a view of pad
+        own = [work.pad, work.root, work.phi, work.scratch, work.tmp, *work.k, work.stage]
+        assert [a.shape for a in own] == (
+            [(4, cells + 4), (2, cells + 4), (cells,), (cells,), (4, cells)] + [(5, cells)] * 4
+        )
+        assert len(buffers) == len(own) + 1 and np.shares_memory(work.gamma, work.pad)
+        for i, a in enumerate(own):
+            assert not any(np.shares_memory(a, b) for b in own[i + 1 :])
+        offsets = [a.ctypes.data % sv.PAGE_BYTES for a in own]
+        assert offsets == [i * sv.BUFFER_SKEW for i in range(len(own))]
+        # each state's u, returned by one rk4_step, and its row views
+        states = [snap.u for _, snap in result.snapshots]
+        assert len(states) == 5 and all(u.shape == (5, cells) for u in states)
+        for i, u in enumerate(states):
+            assert u.flags.c_contiguous
+            assert not any(np.shares_memory(u, b) for b in buffers)
+            assert not any(np.shares_memory(u, v) for v in states[i + 1 :])
         arrays = [f for _, snap in result.snapshots for f in fields_of(snap)]
-        assert len(result.snapshots) == 5
         for i, f in enumerate(arrays):
             assert not any(np.shares_memory(f, b) for b in buffers)
             assert not any(np.shares_memory(f, g) for g in arrays[i + 1 :])
@@ -646,10 +666,10 @@ class TestWorkspaceMemory:
         opts = SolverOptions(t_end=1.0, bohm=True, nu_h=0.01)
         work = Workspace(grid.cells)
         work.prime(state, params)
-        primed = [work.gamma_e[2:-2].copy(), work.gamma_p[2:-2].copy(), work.phi.copy()]
-        first = [d.copy() for d in rhs(state, params, opts, work)]
+        primed = [work.gamma.copy(), work.phi.copy()]
+        first = rhs(state, params, opts, work).copy()
         assert work.primed is state
-        for got, want in zip((work.gamma_e[2:-2], work.gamma_p[2:-2], work.phi), primed):
+        for got, want in zip((work.gamma, work.phi), primed):
             assert np.array_equal(got, want)
         for got, want in zip(rhs(state, params, opts, work), first):
             assert np.array_equal(got, want)
@@ -712,8 +732,9 @@ class TestScanCounts:
         assert len(calls) == 1 + 4 * n_steps  # initial_condition, then 3 stage inputs + the result
 
     def test_bohm_term_skips_second_density_scan(self, monkeypatch):
-        # rhs has checked n > 0 once; it calls the Bohm potential in the in-place
-        # form, which does not scan again (the public form does, see test_grid)
+        # rhs has checked n > 0 once; it calls the Bohm potential once, on both
+        # species' rows, in the in-place form, which does not scan again (the
+        # public form does, see test_grid)
         scans, forms = [], []
         check, potential = sv._check_positive_densities, sv.bohm_potential
 
@@ -731,7 +752,23 @@ class TestScanCounts:
         state = random_smooth_state(grid, np.random.default_rng(2))
         rhs(state, PARAMS, SolverOptions(t_end=1.0, bohm=True))
         assert scans == [0.0]
-        assert forms == [True, True]
+        assert forms == [True]
+
+    @pytest.mark.parametrize(
+        "bad", [((4, 5), (0, 8)), ((0, 5), (4, 8)), ((2, 5), (1, 5)), ((3, 7), (3, 5))]
+    )
+    def test_finite_scan_reports_first_bad_cell_across_rows(self, bad):
+        # one scan over all five rows of u finds the first column with any
+        # non-finite value, whichever rows hold the bad values
+        grid = Grid1D(half_width=24000.0, cells=64)
+        state = random_smooth_state(grid, np.random.default_rng(8))
+        state.t = 12.5
+        (row_a, cell_a), (row_b, cell_b) = bad
+        state.u[row_a, cell_a] = np.nan
+        state.u[row_b, cell_b] = np.inf
+        with pytest.raises(NumericalBreakdownError) as excinfo:
+            rhs(state, PARAMS, SolverOptions(t_end=1.0))
+        assert (excinfo.value.t, excinfo.value.cell) == (12.5, min(cell_a, cell_b))
 
 
 class TestLinearDispersion:
