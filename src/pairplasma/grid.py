@@ -50,22 +50,6 @@ class Grid1D:
         return 2.0 * self.half_width
 
 
-# Values (512 KiB) that one pass of an operation over a stack of rows takes
-# at once. Over a larger stack the passes of one operation no longer find
-# their operands in a core's L2 cache (2 MiB on the machine this was tuned
-# on), so they run row by row instead (`row_groups`): the five rows of a
-# state in one pass up to M = 8192, the four rows of the stencil up to
-# M = 16384.
-PASS_VALUES = 1 << 16
-
-
-def row_groups(shape) -> list:
-    """[...] when an array of this shape fits one pass, else the index of each row."""
-    if len(shape) == 1 or shape[0] * shape[-1] <= PASS_VALUES:
-        return [...]
-    return list(range(shape[0]))
-
-
 def padded(f: np.ndarray) -> np.ndarray:
     """New buffer of M + 4 values holding f in its interior: g[j + 2] == f[j].
 
@@ -111,16 +95,12 @@ def ddx(f: np.ndarray, dx: float, out=None, tmp=None) -> np.ndarray:
     buffer g and writes into `out` (see `_stencil_buffers`).
     """
     g, out, tmp = _stencil_buffers(f, out, tmp)
-    for rows in row_groups(out.shape):
-        _, right1, left1, right2, left2 = _neighbours(g[rows])
-        o = out[rows]
-        # row by row, one row of tmp serves every row and stays in cache
-        t = tmp if tmp.ndim == o.ndim else tmp[0]
-        np.subtract(right1, left1, out=o)
-        o *= 8.0
-        np.subtract(right2, left2, out=t)
-        o -= t
-        o /= 12.0 * dx
+    _, right1, left1, right2, left2 = _neighbours(g)
+    np.subtract(right1, left1, out=out)
+    out *= 8.0
+    np.subtract(right2, left2, out=tmp)
+    out -= tmp
+    out /= 12.0 * dx
     return out
 
 

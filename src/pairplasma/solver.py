@@ -45,10 +45,7 @@ each term of a species pair, (n_e, n_p) or (p_e, p_p), is one numpy call on
 two rows, a stage state u + h k is two calls on the whole array, and one
 stencil call differentiates both combined fluxes and both gammas (two calls
 with the Bohm term). The results are bit-identical to evaluating every
-field on its own: each operation is elementwise, in the same order. Where
-a stack of rows is too large to stay in cache between the passes of one
-operation, the stencils and the RK4 sums run row by row
-(`grid.row_groups`).
+field on its own: each operation is elementwise, in the same order.
 
 Finite checks run on every state the integrator evaluates, each once.
 `initial_condition` scans the initial state and `rk4_step` scans the state
@@ -96,7 +93,6 @@ from .grid import (
     hyperdiffusion,
     integrate,
     poisson_init_E,
-    row_groups,
 )
 from .kernels import PhysicsParams, lorentz_gamma, pair_factor
 from .output import read_snapshot
@@ -268,7 +264,8 @@ def _check_positive_densities(state: SimState):
 # bytes after the previous one. Large arrays that numpy allocates fresh all
 # start at the same page offset, and a loop that loads from one such array
 # while it stores into another stalls on false store-to-load dependencies
-# (4K aliasing): spreading the buffers made an RK4 step about 5-20% faster.
+# (4K aliasing): spreading the buffers made the M = 2048 reference run about
+# 10% faster.
 PAGE_BYTES = 4096
 BUFFER_SKEW = 320
 
@@ -398,9 +395,8 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, 
 
 def _stage(state: SimState, deriv: np.ndarray, h: float, work: Workspace) -> SimState:
     """The RK4 stage state u + h*k, in the workspace's stage buffer."""
-    for rows in row_groups(deriv.shape):
-        s = np.multiply(deriv[rows], h, out=work.stage[rows])
-        s += state.u[rows]
+    s = np.multiply(deriv, h, out=work.stage)
+    s += state.u
     return SimState(state.grid, state.t + h, work.stage)
 
 
@@ -427,14 +423,11 @@ def rk4_step(
     k2 += k3
     k4 = rhs(_stage(state, k3, dt, work), params, opts, work, out=slot_c)
     # u + dt/6 * ((k1 + k4) + 2 (k2 + k3)) in this order, accumulated in k1's and k2's slots
-    u = np.empty(state.u.shape)
-    for rows in row_groups(u.shape):
-        a, bc = k1[rows], k2[rows]
-        a += k4[rows]
-        bc *= 2.0
-        a += bc
-        a *= dt / 6.0
-        np.add(state.u[rows], a, out=u[rows])
+    k1 += k4
+    k2 *= 2.0
+    k1 += k2
+    k1 *= dt / 6.0
+    u = np.add(state.u, k1)
     _check_fields(state.t + dt, u)
     return SimState(state.grid, state.t + dt, u)
 
