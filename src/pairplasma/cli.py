@@ -7,6 +7,11 @@
 
 Exit codes: 0 success, 1 configuration error, 2 numerical breakdown (or
 failing check), 3 I/O error.
+
+`run` writes its outputs once the solve has returned, complete or broken
+down: series.csv, then the snapshots in up to one process per available
+CPU (`output.write_snapshots`), then, after every writer has finished, the
+manifest with the digests of the files on disk.
 """
 
 import argparse
@@ -24,6 +29,7 @@ from .output import (
     write_manifest,
     write_series,
     write_snapshot,
+    write_snapshots,
 )
 
 EXIT_OK = 0
@@ -41,9 +47,7 @@ def _write_outputs(config: RunConfig, records, snapshots) -> Path:
     outdir = Path(config.output.dir)
     outdir.mkdir(parents=True, exist_ok=True)
     files = [write_series(records, outdir / SERIES_FILENAME)]
-    x_text = format_column(config.grid.x)
-    for index, state in snapshots:
-        files.append(write_snapshot(state, index, outdir, x_text))
+    files += write_snapshots(snapshots, outdir, format_column(config.grid.x))
     write_manifest(format_config(config), outdir, files)
     return outdir
 

@@ -4,10 +4,16 @@ All floats are written with Python's shortest round-trip representation and
 files use LF line endings, so two runs with the same configuration produce
 byte-identical outputs. The manifest records the fully resolved
 configuration (re-parseable) and a SHA-256 digest of every file written.
+
+`write_snapshots` writes the snapshots of a finished run in up to one
+process per available CPU: the calling process and writers forked from it.
+Each file is written whole by one process with `write_snapshot`, so the
+bytes do not depend on the number of writers.
 """
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -66,16 +72,98 @@ def write_snapshot(state, index: int, outdir, x_text=None) -> Path:
     return path
 
 
+def _writer_count(n_snapshots: int) -> int:
+    """One writer per CPU this process may run on, and no more than snapshots.
+
+    Without `os.sched_getaffinity` (macOS, Windows) there is one writer:
+    forking after numpy has loaded Accelerate is not safe on macOS.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_snapshots))
+
+
+def _write_share_and_exit(share, outdir, x_text, pipe_w: int):
+    """Body of a forked writer: write its share, report any error, never return.
+
+    Whatever happens, the process leaves through `os._exit`, so it never
+    returns into its caller's stack (a test runner, a benchmark harness)
+    and never flushes the stdio buffers it inherited.
+    """
+    code = 1
+    try:
+        for index, state in share:
+            write_snapshot(state, index, outdir, x_text)
+        code = 0
+    except BaseException as err:  # reported to the parent, which raises it
+        os.write(pipe_w, (str(err) or repr(err)).encode("utf-8", "replace"))
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, pipe_r: int):
+    """Wait for one forked writer; return its error text, or None if it succeeded."""
+    with open(pipe_r, "rb") as pipe:
+        message = pipe.read().decode("utf-8", "replace")
+    _, status = os.waitpid(pid, 0)
+    if status == 0:
+        return None
+    return message or f"snapshot writer {pid} exited with status {os.waitstatus_to_exitcode(status)}"
+
+
+def write_snapshots(snapshots, outdir, x_text) -> list:
+    """Write (index, state) snapshots with `write_snapshot`; return the paths in order.
+
+    There are n = min(CPUs available, len(snapshots)) writers. Writer k
+    writes snapshots[k::n]; the calling process is writer 0 and the others
+    are forked from it, so with n == 1 nothing is forked. Every writer is
+    reaped before this returns, whether or not the caller's own share
+    failed; an error in a forked writer is raised here as `OSError` with
+    that writer's message.
+
+    A forked writer only converts arrays with `tolist`, formats floats and
+    writes files; it calls no BLAS routine. Python 3.12+ warns
+    (`DeprecationWarning`) when a process with other threads forks, and
+    numpy's OpenBLAS starts threads at import; they are idle here.
+    """
+    paths = [Path(outdir) / snapshot_filename(index) for index, _ in snapshots]
+    n = _writer_count(len(snapshots))
+    writers = []  # (pid, read end of its error pipe)
+    try:
+        for k in range(1, n):
+            pipe_r, pipe_w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(pipe_r)
+                os.close(pipe_w)
+                raise
+            if pid == 0:
+                _write_share_and_exit(snapshots[k::n], outdir, x_text, pipe_w)
+            os.close(pipe_w)
+            writers.append((pid, pipe_r))
+        for index, state in snapshots[0::n]:
+            write_snapshot(state, index, outdir, x_text)
+    finally:
+        errors = [_reap(pid, pipe_r) for pid, pipe_r in writers]
+    errors = [e for e in errors if e is not None]
+    if errors:
+        raise OSError(errors[0])
+    return paths
+
+
 def read_snapshot(path):
     """Read a snapshot CSV back as (t, dict of column arrays).
 
     Raises ConfigError, naming the path and the line, when a row is not
-    numeric or does not match the header, when the header lacks one of
-    SNAPSHOT_COLUMNS, or when the file holds no data row.
+    numeric or does not match the header, when a value of one of
+    SNAPSHOT_COLUMNS is not finite, when the header lacks one of them or
+    names a column twice, or when the file holds no data row.
     """
     t = 0.0
     names = None
     rows = []
+    linenos = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -90,16 +178,28 @@ def read_snapshot(path):
                     missing = [c for c in SNAPSHOT_COLUMNS if c not in names]
                     if missing:
                         raise ValueError(f"header lacks column(s) {', '.join(missing)}")
+                    twice = sorted({c for c in names if names.count(c) > 1})
+                    if twice:
+                        raise ValueError(f"header names column(s) {', '.join(twice)} twice")
                 else:
                     row = [float(s) for s in line.split(",")]
                     if len(row) != len(names):
                         raise ValueError(f"{len(row)} values, the header has {len(names)} columns")
                     rows.append(row)
+                    linenos.append(lineno)
             except ValueError as err:
                 raise ConfigError(f"snapshot {path}, line {lineno}: {err}") from None
     if not rows:
         raise ConfigError(f"snapshot {path} contains no data rows")
     data = np.asarray(rows, dtype=np.float64)
+    used = [names.index(c) for c in SNAPSHOT_COLUMNS]
+    bad = ~np.isfinite(data[:, used])
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ConfigError(
+            f"snapshot {path}, line {linenos[row]}: "
+            f"{SNAPSHOT_COLUMNS[col]} = {float(data[row, used[col]])!r} is not finite"
+        )
     return t, {name: data[:, i].copy() for i, name in enumerate(names)}
 
 

@@ -2,16 +2,20 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pairplasma
 from pairplasma import __version__
 from pairplasma.cli import cli_main
 from pairplasma.grid import Grid1D
+from pairplasma.output import format_column, write_snapshot, write_snapshots
+from pairplasma.solver import SimState
 
 SMALL_RUN = """
 physics.alpha = 0.0072992700729927005
@@ -101,6 +105,24 @@ class TestRunCommand:
 
 
 GOOD_ROW = "-3.0,0.0,1.01,0.01,0.0,0.0"
+
+
+def restart_text(row=None, column=None, value=None, extra=None):
+    """A uniform state at the cell centres of the default 8-cell grid.
+
+    One value can be replaced (`row`, `column`, `value`), or an `extra`
+    column, holding 1.5 in every row, appended to the header.
+    """
+    names = ["x", "E", "n_e", "n_p", "p_e", "p_p"] + ([extra] if extra else [])
+    lines = ["# t = 0.0", ",".join(names)]
+    for i, x in enumerate(Grid1D(24000.0, 8).x.tolist()):
+        values = [repr(x), "0.0", "1.01", "0.01", "0.0", "0.0"] + (["1.5"] if extra else [])
+        if i == row:
+            values[names.index(column)] = value
+        lines.append(",".join(values))
+    return "\n".join(lines) + "\n"
+
+
 BAD_SNAPSHOTS = {
     # name: (file text, line the error names or None)
     "missing_column": ("# t = 0.0\nx,E,n_e,n_p,p_e\n" + "-3.0,0.0,1.01,0.01,0.0\n" * 8, 2),
@@ -109,6 +131,14 @@ BAD_SNAPSHOTS = {
     "ragged_row": ("# t = 0.0\nx,E,n_e,n_p,p_e,p_p\n" + f"{GOOD_ROW}\n" * 4
                    + "-3.0,0.0,1.01,0.01,0.0\n" + f"{GOOD_ROW}\n" * 3, 7),
     "empty": ("", None),
+    # nan and inf parse as floats; unchecked, the Gauss solve spreads one
+    # over all of E and the run breaks down at "cell 0" with empty outputs
+    "nan_density": (restart_text(row=5, column="n_e", value="nan"), 8),
+    "inf_density": (restart_text(row=2, column="n_p", value="inf"), 5),
+    "nan_momentum": (restart_text(row=7, column="p_e", value="NaN"), 10),
+    "inf_momentum": (restart_text(row=3, column="p_p", value="-inf"), 6),
+    # else the last n_e column would silently win
+    "duplicate_column": (restart_text(extra="n_e"), 2),
 }
 
 
@@ -128,6 +158,7 @@ class TestBadRestartInput:
         assert str(snapshot) in err
         if line is not None:
             assert f"line {line}:" in err
+        assert not (tmp_path / "out").exists()
 
     @staticmethod
     def snapshot_on(tmp_path, half_width):
@@ -179,6 +210,108 @@ def test_cli_import_leaves_scipy_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+MANY_SNAPSHOTS = "grid.cells = 256\nsolver.t_end = 1500\noutput.snapshot_every = 2\n"  # 11
+BREAKDOWN_SNAPSHOTS = (  # wave breaking at t = 1293.75, after 12 snapshots
+    "physics.alpha = 0.0072992700729927005\ngrid.cells = 512\n"
+    "solver.stop_on_negative_density = on\noutput.snapshot_every = 3\n"
+)
+
+
+class TestParallelWriters:
+    """Snapshots are written by up to one process per CPU in os.sched_getaffinity."""
+
+    @staticmethod
+    def use_cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    @staticmethod
+    def count_forks(monkeypatch, real=True):
+        calls = []
+        fork = os.fork
+
+        def counted():
+            calls.append(1)
+            if not real:
+                raise AssertionError("os.fork called")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize(
+        "text, code, snapshots", [(MANY_SNAPSHOTS, 0, 11), (BREAKDOWN_SNAPSHOTS, 2, 12)]
+    )
+    def test_bytes_equal_for_one_and_three_writers(self, tmp_path, monkeypatch, text, code, snapshots):
+        outdir = tmp_path / "out"
+        cfg = write_config(tmp_path, text + f"output.dir = {outdir}\n")
+        outputs = []
+        for writers in (1, 3):
+            self.use_cpus(monkeypatch, writers)
+            forks = self.count_forks(monkeypatch)
+            assert cli_main(["run", cfg]) == code
+            assert len(forks) == writers - 1
+            outputs.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
+            shutil.rmtree(outdir)
+        self.assert_no_child_left()
+        serial, parallel = outputs
+        assert sum(name.startswith("fields_") for name in serial) == snapshots
+        assert {"series.csv", "manifest.json"} <= set(serial)
+        assert parallel == serial
+
+    @pytest.mark.parametrize("blocked", ["fields_000001.csv", "fields_000000.csv"])
+    def test_failed_share_exits_3_naming_the_path(self, tmp_path, monkeypatch, capsys, blocked):
+        # with 3 writers the main process writes snapshots 0, 3, 6, ... and
+        # a forked writer snapshots 1, 4, 7, ...
+        outdir = tmp_path / "out"
+        (outdir / blocked).mkdir(parents=True)
+        cfg = write_config(tmp_path, MANY_SNAPSHOTS + f"output.dir = {outdir}\n")
+        self.use_cpus(monkeypatch, 3)
+        forks = self.count_forks(monkeypatch)
+        assert cli_main(["run", cfg]) == 3
+        assert len(forks) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("I/O error: ")
+        assert str(outdir / blocked) in err
+        assert not (outdir / "manifest.json").exists()
+        self.assert_no_child_left()
+
+    def test_forked_writer_error_is_raised(self, tmp_path, monkeypatch):
+        # without the manifest, which would fail on the directory as well
+        grid = Grid1D(24000.0, 64)
+        snapshots = [(i, SimState.from_fields(grid, float(i), *np.ones((5, grid.cells))))
+                     for i in range(3)]
+        (tmp_path / "fields_000001.csv").mkdir()
+        self.use_cpus(monkeypatch, 3)
+        with pytest.raises(OSError, match="fields_000001.csv"):
+            write_snapshots(snapshots, tmp_path, format_column(grid.x))
+        self.assert_no_child_left()
+        for i in (0, 2):  # the other writers' shares are complete
+            written = (tmp_path / f"fields_00000{i}.csv").read_bytes()
+            assert written == write_snapshot(snapshots[i][1], 9, tmp_path).read_bytes()
+
+    def test_init_forks_nothing(self, tmp_path, monkeypatch):
+        self.use_cpus(monkeypatch, 4)
+        forks = self.count_forks(monkeypatch, real=False)
+        cfg = write_config(tmp_path, f"grid.cells = 128\noutput.dir = {tmp_path / 'out'}\n")
+        assert cli_main(["init", cfg]) == 0
+        assert forks == []
+
+    def test_one_snapshot_forks_nothing(self, tmp_path, monkeypatch):
+        self.use_cpus(monkeypatch, 4)
+        forks = self.count_forks(monkeypatch, real=False)
+        grid = Grid1D(24000.0, 64)
+        state = SimState.from_fields(grid, 0.0, *np.ones((5, grid.cells)))
+        paths = write_snapshots([(7, state)], tmp_path, format_column(grid.x))
+        assert paths == [tmp_path / "fields_000007.csv"]
+        assert paths[0].read_bytes() == write_snapshot(state, 8, tmp_path).read_bytes()
+        assert forks == []
 
 
 class TestInitCommand:
