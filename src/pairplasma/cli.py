@@ -1,7 +1,7 @@
 """Command-line driver.
 
     pairplasma run <config>    execute a run, write series/snapshots/manifest
-    pairplasma init <config>   write only the t=0 snapshot and series row
+    pairplasma init <config>   write only the t=0 snapshot, series row and manifest
     pairplasma check           run the built-in invariant suite
     pairplasma version         print the package version
 
@@ -11,26 +11,19 @@ failing check), 3 I/O error.
 `run` writes its outputs once the solve has returned, complete or broken
 down: series.csv, then the snapshots in up to one process per available
 CPU (`output.write_snapshots`), then, after every writer has finished, the
-manifest with the digests of the files on disk.
+manifest with the digests of the files on disk. `init` is a run with
+`solver.t_end = 0` and writes the same way.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from . import __version__, solver
 from .config import RunConfig, format_config, parse_config
-from .diagnostics import make_record
 from .errors import ConfigError, InvalidParameterError, NumericalBreakdownError, PairPlasmaError
-from .grid import integrate
-from .output import (
-    SERIES_FILENAME,
-    format_column,
-    write_manifest,
-    write_series,
-    write_snapshot,
-    write_snapshots,
-)
+from .output import SERIES_FILENAME, format_column, write_manifest, write_series, write_snapshots
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -73,13 +66,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_init(args) -> int:
     config = _load_config(args.config)
-    state = solver.initial_condition(config.ic, config.grid, config.physics)
-    record = make_record(state, config.physics, integrate(state.n_e, config.grid.dx))
-    outdir = Path(config.output.dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_series([record], outdir / SERIES_FILENAME)
-    write_snapshot(state, 0, outdir)
-    print(f"initial state written: max|E| = {record.max_abs_E:.6g} -> {outdir}")
+    # the manifest then records t_end = 0, so re-parsing it reproduces these files
+    config.solver = dataclasses.replace(config.solver, t_end=0.0)
+    result = solver.run(config)
+    outdir = _write_outputs(config, result.records, result.snapshots)
+    print(f"initial state written: max|E| = {result.records[0].max_abs_E:.6g} -> {outdir}")
     return EXIT_OK
 
 
@@ -111,7 +102,7 @@ def cli_main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a configured run")
     p_run.add_argument("config", help="path to a config file")
     p_run.set_defaults(func=_cmd_run)
-    p_init = sub.add_parser("init", help="write only the initial snapshot and series row")
+    p_init = sub.add_parser("init", help="write only the initial snapshot, series row and manifest")
     p_init.add_argument("config", help="path to a config file")
     p_init.set_defaults(func=_cmd_init)
     sub.add_parser("check", help="run the built-in invariant suite").set_defaults(

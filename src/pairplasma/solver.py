@@ -43,8 +43,8 @@ n_p, p_e, p_p), and the derivatives, stage states and RK4 sums are (5, M)
 arrays in the same order. The model is symmetric in the two species, so
 each term of a species pair, (n_e, n_p) or (p_e, p_p), is one numpy call on
 two rows, a stage state u + h k is two calls on the whole array, and one
-stencil call differentiates both combined fluxes and both gammas (two calls
-with the Bohm term). The results are bit-identical to evaluating every
+stencil call differentiates both combined fluxes and both g_s (or
+g_s - Q_s/2). The results are bit-identical to evaluating every
 field on its own: each operation is elementwise, in the same order.
 
 Finite checks run on every state the integrator evaluates, each once.
@@ -285,21 +285,25 @@ class Workspace:
     the combined fluxes F_e and F_p into the interiors of rows 0-1, and
     `prime` writes gamma_e and gamma_p into the interiors of rows 2-3
     (`gamma`), so one stencil call differentiates all four and refreshes
-    only their ghost cells. With the Bohm term on, rows 0-1 then take
-    g_s - Q_s/2 and `root` the padded (n_s/g_s)^{1/2}. The RK4 derivatives
-    `k` and the stage state `stage` are (5, M) arrays like a state's `u`;
-    `tmp` is (4, M) stencil scratch. `primed` is the state whose gamma and
-    phi the buffers hold; rhs reuses them for that state instead of
-    recomputing them and rescanning it, and never writes into them. The
-    solver never writes into a state's array, so the state object
-    identifies its values. Between steps pad rows 0-1, scratch and tmp are
-    free for the series record.
+    only their ghost cells. With the Bohm term on, the stencil call takes
+    `spare` instead, a padded (4, M + 4) buffer holding F_s and g_s - Q_s/2,
+    with `root` the padded (n_s/g_s)^{1/2}. Hyperdiffusion then takes the
+    padded densities and momenta in `spare`, with (4, M) scratch
+    `spare_tmp`. The RK4 derivatives `k` and the stage state `stage` are
+    (5, M) arrays like a state's `u`; `tmp` is (4, M) stencil scratch.
+    `primed` is the state whose gamma and phi the buffers hold; rhs reuses
+    them for that state instead of recomputing them and rescanning it, and
+    never writes into them. The solver never writes into a state's array,
+    so the state object identifies its values. Between steps pad rows 0-1,
+    scratch and tmp are free for the series record.
     """
 
     def __init__(self, cells: int):
         shapes = [(4, cells + 4), (2, cells + 4), (cells,), (cells,), (4, cells)] + [(5, cells)] * 4
+        shapes += [(4, cells + 4), (4, cells)]
         skewed = (_at_page_offset(shape, i * BUFFER_SKEW) for i, shape in enumerate(shapes))
-        self.pad, self.root, self.phi, self.scratch, self.tmp, k1, k2, k3, self.stage = skewed
+        (self.pad, self.root, self.phi, self.scratch, self.tmp, k1, k2, k3, self.stage,
+         self.spare, self.spare_tmp) = skewed
         self.k = (k1, k2, k3)
         self.gamma = self.pad[2:4, 2:-2]
         self.primed = None
@@ -336,10 +340,12 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, 
     dx = state.grid.dx
     E, n, p = u[0], u[1:3], u[3:5]
     dE, dn, dp = out[0], out[1:3], out[3:5]
-    tmp, scratch, pad, gamma = work.tmp, work.scratch, work.pad, work.gamma
-    flux_pad = pad[:2]
+    tmp, scratch, gamma = work.tmp, work.scratch, work.gamma
+    # the stencil's four rows: the primed gammas follow the fluxes in `pad`,
+    # or, with the Bohm term, g_s - Q_s/2 in `spare`, leaving the gammas unchanged
+    stack = work.spare if opts.bohm else work.pad
 
-    flux = np.divide(p, gamma, out=flux_pad[:, 2:-2])
+    flux = np.divide(p, gamma, out=stack[:2, 2:-2])
     flux *= n
     current = np.subtract(flux[0], flux[1], out=dE)
     if opts.displacement_terms:
@@ -357,17 +363,12 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, 
     q0 = np.multiply(E, E, out=scratch)
     q0 *= work.phi
 
-    # one stencil per evolved equation: of the combined fluxes F_s, and of
-    # g_s, or of g_s - Q_s/2 with the Bohm potential Q_s written into the
-    # flux rows once their stencil is taken; the primed gammas stay unchanged
     if opts.bohm:
-        ddx(flux_pad, dx, out=dn, tmp=tmp[:2])
-        half_q = bohm_potential(n, gamma, dx, out=flux_pad, s=work.root, tmp=tmp[:2])[:, 2:-2]
+        half_q = bohm_potential(n, gamma, dx, out=stack[2:4], s=work.root, tmp=tmp[:2])[:, 2:-2]
         half_q *= 0.5
         np.subtract(gamma, half_q, out=half_q)
-        ddx(flux_pad, dx, out=dp, tmp=tmp[:2])
-    else:
-        ddx(pad, dx, out=out[1:5], tmp=tmp)
+    # one stencil per evolved equation, all four in one call
+    ddx(stack, dx, out=out[1:5], tmp=tmp)
     np.subtract(q0, dn, out=dn)
     # -ddx - E and -ddx + E, which equals E - ddx in every bit
     np.negative(dp, out=dp)
@@ -386,9 +387,9 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, 
         dp += drag
 
     if opts.nu_h != 0.0:
-        for rows, d in ((n, dn), (p, dp)):
-            flux_pad[:, 2:-2] = rows
-            d += hyperdiffusion(flux_pad, opts.nu_h, out=tmp[:2], tmp=tmp[2:])
+        # `spare` is free once the stencil has run
+        work.spare[:, 2:-2] = u[1:5]
+        out[1:5] += hyperdiffusion(work.spare, opts.nu_h, out=tmp, tmp=work.spare_tmp)
 
     return out
 
@@ -470,14 +471,16 @@ def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams)
 
 
 def _plan_steps(opts: SolverOptions, dx: float):
-    """Step count and (possibly shrunk) step so the loop lands on t_end."""
-    if opts.t_end == 0.0:
-        return 0, opts.step_size(dx)
+    """Step count and step so the loop lands on t_end.
+
+    The requested step (dt, or cfl*dx) shrinks to t_end / n_steps, the even
+    division of t_end that comes closest to it without exceeding it.
+    """
     dt = opts.step_size(dx)
+    if opts.t_end == 0.0:
+        return 0, dt
     n_steps = max(1, math.ceil(opts.t_end / dt * (1.0 - 1e-12)))
-    if opts.dt is None:
-        dt = opts.t_end / n_steps  # cfl mode: divide evenly, never exceeding cfl*dx
-    return n_steps, dt
+    return n_steps, opts.t_end / n_steps
 
 
 def run(config) -> RunResult:

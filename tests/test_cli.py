@@ -1,5 +1,6 @@
 """End-to-end CLI tests: subcommands, exit codes, output layout."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -13,6 +14,7 @@ import pytest
 import pairplasma
 from pairplasma import __version__
 from pairplasma.cli import cli_main
+from pairplasma.config import parse_config
 from pairplasma.grid import Grid1D
 from pairplasma.output import format_column, write_snapshot, write_snapshots
 from pairplasma.solver import SimState
@@ -324,6 +326,25 @@ class TestInitCommand:
         assert not (outdir / "fields_000001.csv").exists()
         lines = (outdir / "series.csv").read_text().splitlines()
         assert len(lines) == 2  # header plus the t=0 row
+
+    def test_manifest_reproduces_the_files(self, tmp_path):
+        outdir = tmp_path / "out"
+        cfg = write_config(tmp_path, f"grid.cells = 128\nsolver.t_end = 300\noutput.dir = {outdir}\n")
+        assert cli_main(["init", cfg]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        names = ["fields_000000.csv", "series.csv"]
+        assert sorted(manifest["outputs"]) == names
+        for name in names:
+            digest = hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+            assert manifest["outputs"][name] == digest
+        assert parse_config(manifest["config"]).solver.t_end == 0.0
+        # `run` of the recorded config, into another directory, writes the same files
+        rerun = tmp_path / "rerun"
+        text = manifest["config"].replace(f"output.dir = {outdir}\n", f"output.dir = {rerun}\n")
+        assert cli_main(["run", write_config(tmp_path, text, name="rerun.cfg")]) == 0
+        assert sorted(p.name for p in rerun.iterdir()) == sorted(names + ["manifest.json"])
+        for name in names:
+            assert (rerun / name).read_bytes() == (outdir / name).read_bytes()
 
 
 class TestOtherCommands:

@@ -14,7 +14,7 @@ import pairplasma.solver as sv
 from pairplasma.config import OutputConfig
 from pairplasma.diagnostics import SERIES_COLUMNS, make_record
 from pairplasma.errors import InvalidParameterError, NumericalBreakdownError
-from pairplasma.grid import Grid1D, ddx, integrate
+from pairplasma.grid import Grid1D, ddx, hyperdiffusion, integrate
 from pairplasma.kernels import PhysicsParams, pair_factor
 from pairplasma.selfcheck import (
     fit_oscillation_frequency,
@@ -266,10 +266,10 @@ class TestRk4Step:
     @pytest.mark.parametrize("bohm", [False, True], ids=["bohm_off", "bohm_on"])
     @pytest.mark.parametrize("displacement_terms", [False, True], ids=["disp_off", "disp_on"])
     def test_ddx_calls_per_rhs(self, monkeypatch, displacement_terms, bohm):
-        # one stencil per evolved equation: the continuity equations take the
-        # combined flux n_s v_s -/+ D_s, the momentum equations g_s (one call
-        # on all four padded rows), or g_s - Q_s/2 with Bohm on (one more call
-        # on two rows, since the primed gammas must stay unchanged)
+        # one stencil per evolved equation, all four in one call on four padded
+        # rows: the continuity equations take the combined flux n_s v_s -/+ D_s,
+        # the momentum equations g_s, or g_s - Q_s/2 with Bohm on (then in the
+        # workspace's spare rows, since the primed gammas must stay unchanged)
         calls = []
 
         def counted(f, dx, *args, **kwargs):
@@ -281,7 +281,22 @@ class TestRk4Step:
         state = random_smooth_state(grid, np.random.default_rng(2))
         opts = SolverOptions(t_end=1.0, displacement_terms=displacement_terms, bohm=bohm)
         rhs(state, PARAMS, opts)
-        assert len(calls) == (2 if bohm else 1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bohm", [False, True], ids=["bohm_off", "bohm_on"])
+    def test_hyperdiffusion_calls_per_rhs(self, monkeypatch, bohm):
+        # one call damps both densities and both momenta
+        calls = []
+
+        def counted(f, nu_h, *args, **kwargs):
+            calls.append(f.shape)
+            return hyperdiffusion(f, nu_h, *args, **kwargs)
+
+        monkeypatch.setattr(sv, "hyperdiffusion", counted)
+        grid = Grid1D(half_width=24000.0, cells=64)
+        state = random_smooth_state(grid, np.random.default_rng(2))
+        rhs(state, PARAMS, SolverOptions(t_end=1.0, bohm=bohm, nu_h=0.01))
+        assert calls == [(4, grid.cells + 4)]
 
     def test_mirror_equivariance_is_bit_exact(self):
         rng = np.random.default_rng(5)
@@ -404,6 +419,16 @@ class TestRun:
         assert excinfo.value.t > 0.0
         assert len(excinfo.value.records) > 10
         assert excinfo.value.records[0].t == 0.0
+
+    def test_explicit_dt_lands_on_t_end(self):
+        # 250 / 100 is not whole: the step shrinks to 250 / 3 rather than a
+        # fourth step of 100 ending at t = 300
+        config = _MiniConfig(
+            grid=Grid1D(half_width=24000.0, cells=64), solver=SolverOptions(dt=100.0, t_end=250.0)
+        )
+        result = run(config)
+        assert [rec.t for rec in result.records[1:]] == [250.0 / 3, 500.0 / 3, 250.0]
+        assert result.state.t == 250.0
 
     def test_final_record_at_t_end(self):
         config = _MiniConfig(solver=SolverOptions(t_end=300.0))
@@ -623,11 +648,14 @@ class TestWorkspaceMemory:
         work = made[0]
         buffers = [a for value in vars(work).values() for a in arrays_in(value)]
         cells = _MiniConfig().grid.cells
-        # nine disjoint buffers, each BUFFER_SKEW bytes further into a page than
-        # the one before (against 4K aliasing); gamma is a view of pad
+        # eleven disjoint buffers, each BUFFER_SKEW bytes further into a page
+        # than the one before (against 4K aliasing); gamma is a view of pad
         own = [work.pad, work.root, work.phi, work.scratch, work.tmp, *work.k, work.stage]
+        own += [work.spare, work.spare_tmp]
         assert [a.shape for a in own] == (
-            [(4, cells + 4), (2, cells + 4), (cells,), (cells,), (4, cells)] + [(5, cells)] * 4
+            [(4, cells + 4), (2, cells + 4), (cells,), (cells,), (4, cells)]
+            + [(5, cells)] * 4
+            + [(4, cells + 4), (4, cells)]
         )
         assert len(buffers) == len(own) + 1 and np.shares_memory(work.gamma, work.pad)
         for i, a in enumerate(own):
