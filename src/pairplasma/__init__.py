@@ -17,7 +17,6 @@ from .diagnostics import (
     gauss_residual,
     make_record,
     pair_count_delta,
-    total_energy,
 )
 from .errors import (
     ChargeImbalanceError,
@@ -33,7 +32,6 @@ from .kernels import (
     derived_plasma_frequency,
     displacement_flux,
     lorentz_gamma,
-    recombination_loss,
     recombination_momentum_exchange,
     schwinger_rate_norm,
     schwinger_rate_si,

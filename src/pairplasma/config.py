@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 from .errors import ConfigError, InvalidParameterError
 from .grid import Grid1D
 from .kernels import PhysicsParams
-from .solver import InitialCondition, SolverOptions
+from .solver import InitialCondition, SolverOptions, check_config_path
 
 
 @dataclass
@@ -45,6 +45,7 @@ class OutputConfig:
     def __post_init__(self):
         if self.series_every < 0 or self.snapshot_every < 0:
             raise InvalidParameterError("output cadences must be >= 0 (0 disables)")
+        check_config_path("output.dir", self.dir)
 
 
 @dataclass

@@ -48,17 +48,6 @@ class SeriesRecord:
 SERIES_COLUMNS = tuple(f.name for f in fields(SeriesRecord))
 
 
-def total_energy(state, omega_pe_sq: float) -> tuple[float, float]:
-    """Raw and rest-subtracted total energy of a state."""
-    dx = state.grid.dx
-    gamma_e = lorentz_gamma(state.p_e)
-    gamma_p = lorentz_gamma(state.p_p)
-    total = integrate(
-        state.n_e * gamma_e + state.n_p * gamma_p + state.E * state.E / (2.0 * omega_pe_sq), dx
-    )
-    return total, total - 2.0 * state.grid.length
-
-
 def pair_count_delta(state, initial_n_e: float) -> float:
     """Created pairs so far: integral(n_e) minus its initial value."""
     return integrate(state.n_e, state.grid.dx) - initial_n_e

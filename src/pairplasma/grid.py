@@ -130,11 +130,9 @@ def integrate(f: np.ndarray, dx: float) -> float:
 def hyperdiffusion(f: np.ndarray, nu_h: float, out=None, tmp=None) -> np.ndarray:
     """Fourth-difference damping -nu_h * (f_{j+2} - 4 f_{j+1} + 6 f_j - 4 f_{j-1} + f_{j-2}).
 
-    Optional stabilizer against cold-fluid wave steepening; exact zero for
-    nu_h = 0 and for constant fields. Arguments as for `ddx`.
+    Optional stabilizer against cold-fluid wave steepening; zero (of either
+    sign) for nu_h = 0 and for constant fields. Arguments as for `ddx`.
     """
-    if nu_h == 0.0 and out is None:
-        return np.zeros_like(f)
     g, out, tmp = _stencil_buffers(f, out, tmp)
     centre, right1, left1, right2, left2 = _neighbours(g)
     np.add(right2, left2, out=out)

@@ -71,10 +71,6 @@ class PhysicsParams:
             raise InvalidParameterError(f"eps_field must be positive, got {self.eps_field}")
         self.omega_pe_sq = derived_plasma_frequency(self.N0, self.alpha) ** 2
 
-    @property
-    def omega_pe(self) -> float:
-        return derived_plasma_frequency(self.N0, self.alpha)
-
 
 def _checked(E, name="E"):
     arr = np.asarray(E, dtype=np.float64)
@@ -163,17 +159,6 @@ def schwinger_rate_si(E_field):
             zero, 0.0, SI_RATE_PREFACTOR * (ratio * ratio) * np.exp(-np.pi * constants.E_CRIT / safe)
         )
     return _maybe_scalar(rate)
-
-
-def recombination_loss(n_e, n_p, a: float):
-    """Annihilation loss rate a * n_e * n_p (per unit volume and time)."""
-    if not (a >= 0.0):
-        raise InvalidParameterError(f"recombination coefficient a must be >= 0, got {a}")
-    n_e = np.asarray(n_e, dtype=np.float64)
-    n_p = np.asarray(n_p, dtype=np.float64)
-    if (n_e < 0.0).any() or (n_p < 0.0).any():
-        raise InvalidStateError("densities must be non-negative")
-    return _maybe_scalar(a * (n_e * n_p))
 
 
 def recombination_momentum_exchange(p_self, p_other, n_other, a: float):

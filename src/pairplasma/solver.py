@@ -50,23 +50,25 @@ field on its own: each operation is elementwise, in the same order.
 Finite checks run on every state the integrator evaluates, each once.
 `initial_condition` scans the initial state and `rk4_step` scans the state
 it returns; `rhs` scans its input unless its workspace already holds that
-state's gamma and phi (below), which is the case for stage 1 of every step
-in a run, a state one of those two scans just covered. So a step makes
-four scans: the inputs of stages 2-4 and its result, one `isfinite` over
-all five rows each. Derivatives are not scanned on their own, because a
-non-finite derivative makes the next stage state or the step result
+state's gamma and phi (below). `rk4_step` leaves its workspace primed for
+the state it returns, so stage 1 of the next step through the same
+workspace, in `run` or in a caller's own loop, skips the scan. So a step
+makes four scans: the inputs of stages 2-4 and its result, one `isfinite`
+over all five rows each. Derivatives are not scanned on their own, because
+a non-finite derivative makes the next stage state or the step result
 non-finite. Each check raises NumericalBreakdownError with the time and the
-first offending cell (column), whichever row holds the bad value. With
-the Bohm term, recombination or `stop_on_negative_density` on, `rhs` also
-checks n > 0 once per stage; the Bohm potential and the recombination
-terms are then evaluated in place without a second density scan.
+first offending cell (column), whichever row holds the bad value. With the
+Bohm term, recombination or `stop_on_negative_density` on, `rhs` also
+checks n > 0 once per stage; the Bohm potential and the recombination terms
+are then evaluated in place without a second density scan.
 
 Each stage evaluates gamma_s and the guarded factor phi = exp(-pi/|E|)/N0
 (`kernels.pair_factor`) once and shares them: q0 = E^2 phi and
-D_s = g_s (E phi). For the state a step returns they are computed once
-(`Workspace.prime`) and used by both its series record and the next step's
-stage 1. The record computes its temporaries in the workspace's free
-buffers (`diagnostics.make_record`), so it allocates no array of M values.
+D_s = g_s (E phi). For the state a step returns they are computed once,
+by `rk4_step` (`Workspace.prime`), and used by both its series record and
+the next step's stage 1; `run` primes only the initial state itself. The
+record computes its temporaries in the workspace's free buffers
+(`diagnostics.make_record`), so it allocates no array of M values.
 
 `run` allocates one `Workspace` after `initial_condition` and steps through
 it: padded stencil buffers, the four RK4 derivatives and the stage states
@@ -99,6 +101,11 @@ from .output import read_snapshot
 
 # Hard step-size ceiling: signal speeds never exceed c = 1 in these units.
 CFL_MAX = 0.5
+
+# RK4 is stable on the negative real axis for |lambda*dt| up to about 2.785.
+# Hyperdiffusion damps the grid-scale mode at rate 16*nu_h, so it needs
+# 16*nu_h*dt <= RK4_REAL_LIMIT.
+RK4_REAL_LIMIT = 2.785
 
 IC_KINDS = ("gaussian", "sine", "uniform", "file")
 
@@ -194,6 +201,16 @@ class SolverOptions:
         return self.dt if self.dt is not None else self.cfl * dx
 
 
+def check_config_path(key: str, path: str):
+    """Reject a path that a config cannot hold: '#' starts a comment, a line
+    break ends the line and blanks around a value are stripped."""
+    if "#" in path or path != path.strip() or len(path.splitlines()) != 1:
+        raise InvalidParameterError(
+            f"{key} = {path!r} cannot be written in a config: it must be non-empty, "
+            "without '#' or line breaks, and not start or end with a blank"
+        )
+
+
 @dataclass
 class InitialCondition:
     """Initial-state description.
@@ -230,6 +247,8 @@ class InitialCondition:
             raise InvalidParameterError(f"ic mode must be a positive integer, got {self.mode}")
         if self.kind == "file" and not self.path:
             raise InvalidParameterError("ic kind 'file' requires ic path")
+        if self.path is not None:
+            check_config_path("ic.path", self.path)
 
 
 @dataclass
@@ -376,8 +395,8 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, 
     dp[1] += E
 
     if params.a != 0.0:
-        # the loss a*(n_e*n_p) and the drag -a*(n_other*(p_self - p_other)) in
-        # the order of the public kernels, without their n >= 0 scans
+        # the loss a*(n_e*n_p) and the drag -a*(n_other*(p_self - p_other)),
+        # without a second n >= 0 scan
         loss = np.multiply(n[0], n[1], out=scratch)
         loss *= params.a
         dn -= loss
@@ -407,12 +426,20 @@ def rk4_step(
     """One classical Runge-Kutta step of all five fields; bit-reproducible.
 
     Steps through `work` (a new Workspace when None) and returns a state
-    with a new array. Raises NumericalBreakdownError if any stage state or
-    the returned state holds a non-finite value.
+    with a new array, leaving `work` primed for it. Raises
+    NumericalBreakdownError if any stage state or the returned state holds
+    a non-finite value, and InvalidParameterError if dt breaks the CFL
+    bound or puts the hyperdiffusion damping outside RK4's stability region.
     """
     if not (0.0 < dt <= CFL_MAX * state.grid.dx * (1.0 + 1e-12)):
         raise InvalidParameterError(
             f"dt = {dt} violates the step bound dt <= {CFL_MAX}*dx = {CFL_MAX * state.grid.dx}"
+        )
+    if 16.0 * opts.nu_h * dt > RK4_REAL_LIMIT:
+        raise InvalidParameterError(
+            f"solver.nu_h = {opts.nu_h} at dt = {dt} breaks RK4's stability bound "
+            f"16*nu_h*dt <= {RK4_REAL_LIMIT}; the largest nu_h allowed at this dt is "
+            f"{RK4_REAL_LIMIT / (16.0 * dt):.6g}"
         )
     if work is None:
         work = Workspace(state.grid.cells)
@@ -430,7 +457,10 @@ def rk4_step(
     k1 *= dt / 6.0
     u = np.add(state.u, k1)
     _check_fields(state.t + dt, u)
-    return SimState(state.grid, state.t + dt, u)
+    result = SimState(state.grid, state.t + dt, u)
+    # gamma and phi of the result, shared by its record and the next step's stage 1
+    work.prime(result, params)
+    return result
 
 
 def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams) -> SimState:
@@ -511,8 +541,6 @@ def run(config) -> RunResult:
     try:
         for step in range(1, n_steps + 1):
             state = rk4_step(state, dt, params, opts, work)
-            # gamma and phi of the new state, shared by its record and the next step's stage 1
-            work.prime(state, params)
             last = step == n_steps
             if (series_every and step % series_every == 0) or last:
                 records.append(make_record(state, params, initial_n_e, work))

@@ -106,6 +106,23 @@ class TestRunCommand:
         assert len(series) > 10
 
 
+    # RK4 is stable for 16*nu_h*dt <= 2.785; the default grid steps dt = 9.375.
+    # Unchecked, nu_h = 0.025 (3.75) ends at t = 234 in a non-finite field
+    # value, which names the wrong cause; 0.018 (2.70) runs to the end
+    @pytest.mark.parametrize("nu_h,code", [(0.025, 1), (0.018, 0)])
+    def test_hyperdiffusion_step_bound(self, tmp_path, capsys, nu_h, code):
+        outdir = tmp_path / "out"
+        cfg = write_config(tmp_path, f"solver.nu_h = {nu_h}\noutput.dir = {outdir}\n")
+        assert cli_main(["run", cfg]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err.startswith("configuration error: solver.nu_h = 0.025")
+            assert "largest nu_h allowed at this dt is 0.0185667" in err
+            assert not outdir.exists()
+        else:
+            assert out.startswith("run finished at t = 1500:")
+
+
 GOOD_ROW = "-3.0,0.0,1.01,0.01,0.0,0.0"
 
 

@@ -6,9 +6,16 @@ import json
 import numpy as np
 import pytest
 
-from pairplasma.config import _SCHEMA, RunConfig, _parse_float, format_config, parse_config
+from pairplasma.config import (
+    _SCHEMA,
+    OutputConfig,
+    RunConfig,
+    _parse_float,
+    format_config,
+    parse_config,
+)
 from pairplasma.diagnostics import SERIES_COLUMNS, make_record
-from pairplasma.errors import ConfigError
+from pairplasma.errors import ConfigError, InvalidParameterError
 from pairplasma.grid import Grid1D, integrate
 from pairplasma.kernels import PhysicsParams
 from pairplasma.output import (
@@ -164,6 +171,7 @@ class TestFormatConfig:
             "solver.dt = 3.25\nphysics.a = 0.125\nic.kind = sine\nic.mode = 4\n"
             "output.dir = elsewhere\nsolver.ampere_sign_flip = on\n",
             "ic.kind = file\nic.path = x.csv\n",  # the only optional string key
+            "output.dir = out dir=1\nic.path = a b.csv\n",  # inner blanks and '=' are kept
         )
         for override in overrides:
             cfg = parse_config(override)
@@ -171,6 +179,18 @@ class TestFormatConfig:
         text = format_config(parse_config(overrides[0]))
         assert "solver.dt = 3.25" in text
         assert "solver.cfl" not in text
+
+    # '#' starts a comment, a line break ends the line and outer blanks are
+    # stripped: output.dir = 'a#b' would re-parse as 'a', so the manifest
+    # would name another directory
+    @pytest.mark.parametrize("path", ["a#b", "a\nb", "a\rb", " a", "a ", "a\t", ""])
+    def test_paths_that_cannot_round_trip_are_rejected(self, path):
+        with pytest.raises(InvalidParameterError, match="output.dir"):
+            OutputConfig(dir=path)
+        with pytest.raises(InvalidParameterError, match="ic.path"):
+            InitialCondition(kind="file", path=path or " ")
+        with pytest.raises(InvalidParameterError, match="ic.path"):
+            InitialCondition(path=path)
 
     def test_default_text_is_pinned(self):
         # this text goes into every manifest.json; it must not drift

@@ -9,7 +9,6 @@ from pairplasma.diagnostics import (
     gauss_residual,
     make_record,
     pair_count_delta,
-    total_energy,
 )
 from pairplasma.grid import Grid1D, integrate
 from pairplasma.kernels import PhysicsParams, schwinger_rate_norm
@@ -27,24 +26,30 @@ def make_state(grid, E=0.0, n_e=1.0, n_p=1.0, p_e=0.0, p_p=0.0):
     return SimState.from_fields(grid, 0.0, field(E), field(n_e), field(n_p), field(p_e), field(p_p))
 
 
+def total_energy(state):
+    """Raw and rest-subtracted total energy, as the series record reports them."""
+    record = make_record(state, PARAMS, integrate(state.n_e, state.grid.dx))
+    return record.total_energy, record.total_energy_sub
+
+
 class TestTotalEnergy:
     def test_rest_state(self):
         grid = Grid1D(half_width=10.0, cells=64)
-        raw, sub = total_energy(make_state(grid), PARAMS.omega_pe_sq)
+        raw, sub = total_energy(make_state(grid))
         assert raw == pytest.approx(40.0, rel=1e-14)
         assert sub == pytest.approx(0.0, abs=1e-12)
 
     def test_moving_state(self):
         grid = Grid1D(half_width=10.0, cells=64)
-        raw, sub = total_energy(make_state(grid, p_e=0.75, p_p=0.75), PARAMS.omega_pe_sq)
+        raw, sub = total_energy(make_state(grid, p_e=0.75, p_p=0.75))
         assert raw == pytest.approx(50.0, rel=1e-14)  # gamma = 1.25 exactly
         assert sub == pytest.approx(10.0, rel=1e-13)
 
     def test_uniform_field_energy(self):
         grid = Grid1D(half_width=10.0, cells=64)
         e0 = 0.3
-        raw_rest, _ = total_energy(make_state(grid), PARAMS.omega_pe_sq)
-        raw, _ = total_energy(make_state(grid, E=e0), PARAMS.omega_pe_sq)
+        raw_rest, _ = total_energy(make_state(grid))
+        raw, _ = total_energy(make_state(grid, E=e0))
         assert raw - raw_rest == pytest.approx(e0**2 * 10.0 / PARAMS.omega_pe_sq, rel=1e-12)
 
     def test_mirror_invariance(self):
@@ -67,8 +72,8 @@ class TestTotalEnergy:
             -state.p_e[::-1].copy(),
             -state.p_p[::-1].copy(),
         )
-        raw_a, _ = total_energy(state, PARAMS.omega_pe_sq)
-        raw_b, _ = total_energy(mirrored, PARAMS.omega_pe_sq)
+        raw_a, _ = total_energy(state)
+        raw_b, _ = total_energy(mirrored)
         assert raw_a == pytest.approx(raw_b, rel=1e-13)
 
 

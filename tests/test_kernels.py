@@ -215,17 +215,6 @@ class TestDisplacementFlux:
 
 
 class TestRecombination:
-    def test_loss_values(self):
-        assert kernels.recombination_loss(2.0, 3.0, 0.0) == 0.0
-        assert kernels.recombination_loss(1.0, 1.0, 0.5) == 0.5
-        assert kernels.recombination_loss(2.0, 0.25, 0.1) == pytest.approx(0.05, rel=1e-15)
-
-    def test_loss_rejects_negative_density(self):
-        with pytest.raises(InvalidStateError):
-            kernels.recombination_loss(-1.0, 1.0, 0.1)
-        with pytest.raises(InvalidParameterError):
-            kernels.recombination_loss(1.0, 1.0, -0.1)
-
     def test_momentum_exchange(self):
         assert kernels.recombination_momentum_exchange(1.0, 1.0, 5.0, 0.3) == 0.0
         assert kernels.recombination_momentum_exchange(1.0, 0.0, 1.0, 0.0) == 0.0

@@ -11,7 +11,7 @@ import pytest
 
 import pairplasma.kernels as kernels
 import pairplasma.solver as sv
-from pairplasma.config import OutputConfig
+from pairplasma.config import OutputConfig, parse_config
 from pairplasma.diagnostics import SERIES_COLUMNS, make_record
 from pairplasma.errors import InvalidParameterError, NumericalBreakdownError
 from pairplasma.grid import Grid1D, ddx, hyperdiffusion, integrate
@@ -102,26 +102,24 @@ class TestRhs:
         np.testing.assert_allclose(dp_p, -0.5 * 2.0 * (0.0 - 1.0), rtol=1e-15)
 
     def test_recombination_in_place_equals_kernels(self, monkeypatch):
-        # rhs adds the loss and drag itself, in the public kernels' order of
-        # operations, without their density scans (it has checked n > 0)
+        # rhs adds the drag itself, in the public kernel's order of operations,
+        # without its density scan (it has checked n > 0); the loss a*(n_e*n_p)
+        # is pinned bit for bit by TestWorkspaceReference's a = 1e-4 config
         grid = Grid1D(half_width=24000.0, cells=64)
         state = random_smooth_state(grid, np.random.default_rng(3))
         params = PhysicsParams(N0=0.2, alpha=1.0 / 137.0, a=0.5)
         opts = SolverOptions(t_end=1.0)
-        dE, dn_e, dn_p, dp_e, dp_p = rhs(state, PARAMS, opts)
-        loss = kernels.recombination_loss(state.n_e, state.n_p, params.a)
+        dE, _, _, dp_e, dp_p = rhs(state, PARAMS, opts)
         drag_e = kernels.recombination_momentum_exchange(state.p_e, state.p_p, state.n_p, params.a)
         drag_p = kernels.recombination_momentum_exchange(state.p_p, state.p_e, state.n_e, params.a)
 
         def refuse(*args, **kwargs):
             raise AssertionError("rhs called a public recombination kernel")
 
-        for name in ("recombination_loss", "recombination_momentum_exchange"):
-            monkeypatch.setattr(kernels, name, refuse)
-            monkeypatch.setattr(sv, name, refuse, raising=False)
+        monkeypatch.setattr(kernels, "recombination_momentum_exchange", refuse)
+        monkeypatch.setattr(sv, "recombination_momentum_exchange", refuse, raising=False)
         got = rhs(state, params, opts)
-        want = (dE, dn_e - loss, dn_p - loss, dp_e + drag_e, dp_p + drag_p)
-        for g, w in zip(got, want):
+        for g, w in zip(got[[0, 3, 4]], (dE, dp_e + drag_e, dp_p + drag_p)):
             assert np.array_equal(g, w)
 
     def test_nan_rejected(self):
@@ -261,7 +259,22 @@ class TestRk4Step:
         rhs(state, PARAMS, opts)
         assert len(calls) == 1
         rk4_step(state, 0.4 * grid.dx, PARAMS, opts)
-        assert len(calls) == 1 + 4
+        # four stages, then the returned state is primed for a next step
+        # (here discarded with the step's own workspace)
+        assert len(calls) == 1 + 5
+
+    def test_hyperdiffusion_step_bound(self):
+        # the grid-scale mode decays at 16*nu_h; RK4 is stable for 16*nu_h*dt <= 2.785
+        grid = Grid1D(half_width=100.0, cells=64)
+        state = uniform_state(grid)
+        dt = 0.4 * grid.dx
+        largest = sv.RK4_REAL_LIMIT / (16.0 * dt)
+        rk4_step(state, dt, PARAMS, SolverOptions(t_end=1.0, nu_h=largest))
+        with pytest.raises(InvalidParameterError) as excinfo:
+            rk4_step(state, dt, PARAMS, SolverOptions(t_end=1.0, nu_h=largest * (1.0 + 1e-9)))
+        message = str(excinfo.value)
+        assert "solver.nu_h" in message and "2.785" in message
+        assert f"{largest:.6g}" in message
 
     @pytest.mark.parametrize("bohm", [False, True], ids=["bohm_off", "bohm_on"])
     @pytest.mark.parametrize("displacement_terms", [False, True], ids=["disp_off", "disp_on"])
@@ -759,6 +772,28 @@ class TestScanCounts:
         assert n_steps == 4
         assert len(calls) == 1 + 4 * n_steps  # initial_condition, then 3 stage inputs + the result
 
+    def test_four_finite_scans_per_step_of_a_library_loop(self, monkeypatch):
+        # rk4_step leaves its workspace primed for the state it returns, so a
+        # loop of rk4_step calls through one workspace skips each next stage 1
+        # scan, as run() does
+        calls = []
+        original = sv._check_fields
+
+        def counted(t, *fields_):
+            calls.append(t)
+            return original(t, *fields_)
+
+        monkeypatch.setattr(sv, "_check_fields", counted)
+        grid = Grid1D(half_width=24000.0, cells=256)
+        state = initial_condition(InitialCondition(), grid, PARAMS)
+        calls.clear()
+        opts = SolverOptions(t_end=1.0)
+        work = Workspace(grid.cells)
+        for _ in range(10):
+            state = rk4_step(state, 0.4 * grid.dx, PARAMS, opts, work)
+        assert work.primed is state
+        assert len(calls) == 1 + 4 * 10  # the unprimed first state, then 3 stage inputs + the result
+
     def test_bohm_term_skips_second_density_scan(self, monkeypatch):
         # rhs has checked n > 0 once; it calls the Bohm potential once, on both
         # species' rows, in the in-place form, which does not scan again (the
@@ -797,6 +832,41 @@ class TestScanCounts:
         with pytest.raises(NumericalBreakdownError) as excinfo:
             rhs(state, PARAMS, SolverOptions(t_end=1.0))
         assert (excinfo.value.t, excinfo.value.cell) == (12.5, min(cell_a, cell_b))
+
+
+class TestRecombinationClosedForm:
+    """Recombination alone, against its closed form.
+
+    A uniform neutral state stays uniform, so E stays exactly 0 and
+    n_e = 1 + n_p, and dn_p/dt = -a n_p (1 + n_p) has the solution
+    n_p(t) = 1 / ((1 + 1/n_p0) e^{a t} - 1).
+    """
+
+    # relative error of n_p at t = 2000 measured per step size; each bound is
+    # twice its measurement
+    MEASURED = {50.0: 1.11e-7, 25.0: 6.80e-9, 12.5: 4.21e-10}
+
+    @staticmethod
+    def relative_error(dt):
+        a, n_p0 = 1e-3, 0.01
+        config = parse_config(
+            "ic.kind = uniform\nphysics.a = 1e-3\ngrid.cells = 16\n"
+            f"grid.half_width = 2000\nsolver.t_end = 2000\nsolver.dt = {dt!r}\n"
+        )
+        result = run(config)
+        state = result.state
+        assert state.t == 2000.0 and len(result.records) == 2000.0 / dt + 1
+        assert all(rec.max_abs_E == 0.0 for rec in result.records)
+        want = 1.0 / ((1.0 + 1.0 / n_p0) * math.exp(a * state.t) - 1.0)
+        return float(np.max(np.abs(state.n_p - want)) / want)
+
+    def test_matches_closed_form_at_fourth_order(self):
+        errors = [self.relative_error(dt) for dt in self.MEASURED]
+        for error, measured in zip(errors, self.MEASURED.values()):
+            assert error <= 2.0 * measured
+        # RK4: each halving of the step gains about 2^4 = 16
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 14.0 <= coarse / fine <= 18.0
 
 
 class TestLinearDispersion:
