@@ -203,8 +203,18 @@ def read_snapshot(path):
     return t, {name: data[:, i].copy() for i, name in enumerate(names)}
 
 
+_HASH_BLOCK = 64 * 1024
+
+
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """SHA-256 of a file, read in blocks so that memory does not grow with its size."""
+    digest = hashlib.sha256()
+    buffer = bytearray(_HASH_BLOCK)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buffer):
+            digest.update(view[:n])
+    return digest.hexdigest()
 
 
 def write_manifest(config_text: str, outdir, files) -> Path:

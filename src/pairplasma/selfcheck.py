@@ -3,7 +3,8 @@
 Fast numerical smoke checks of the properties the solver is built on: the
 parity of the pair terms in `rhs`, kernel limits, operator convergence
 order, the stencil-exact coupling between the field update and the
-continuity equations, and the linear plasma-oscillation frequency. Each
+continuity equations, the linear plasma-oscillation frequency, the Bohm
+term's dispersion and recombination against their closed forms. Each
 check returns a pass/fail result with a one-line measurement summary.
 """
 
@@ -67,6 +68,30 @@ def fit_oscillation_frequency(t: np.ndarray, y: np.ndarray) -> float:
     return math.acos(c1 / (2.0 * math.sqrt(-c2))) / (t[1] - t[0])
 
 
+# background densities of the oscillation measurements
+BASE_E, BASE_P = 1.01, 0.01
+
+
+def _measure_mode_frequency(grid, mode, dt, n_steps, params, opts) -> float:
+    """Angular frequency of E for a small sine perturbation of n_e, over n_steps steps.
+
+    E is projected on cos(k x), k = pi*mode/half_width, after every step and
+    the projection is fitted with `fit_oscillation_frequency`.
+    """
+    ic = InitialCondition(kind="sine", epsilon=1e-6, mode=mode, base_e=BASE_E, base_p=BASE_P)
+    state = initial_condition(ic, grid, params)
+    work = Workspace(grid.cells)
+    probe = np.cos(math.pi * mode / grid.half_width * grid.x)
+    times = np.empty(n_steps + 1)
+    signal = np.empty(n_steps + 1)
+    for step in range(n_steps + 1):
+        times[step] = state.t
+        signal[step] = 2.0 / grid.cells * np.dot(state.E, probe)
+        if step < n_steps:
+            state = rk4_step(state, dt, params, opts, work)
+    return fit_oscillation_frequency(times, signal)
+
+
 def measure_langmuir_period(
     cells: int = 256,
     half_width: float = 2560.0,
@@ -83,25 +108,63 @@ def measure_langmuir_period(
     """
     params = params or PhysicsParams(N0=0.2)
     grid = Grid1D(half_width=half_width, cells=cells)
-    ic = InitialCondition(kind="sine", epsilon=1e-6, mode=mode, base_e=1.01, base_p=0.01)
-    opts = SolverOptions(dt=dt, t_end=0.0)
-    state = initial_condition(ic, grid, params)
-    work = Workspace(grid.cells)
-
-    omega_theory = math.sqrt(params.omega_pe_sq * (ic.base_e + ic.base_p))
-    k = math.pi * mode / grid.half_width
-    probe = np.cos(k * grid.x)
-
+    omega_theory = math.sqrt(params.omega_pe_sq * (BASE_E + BASE_P))
     n_steps = int(round(n_periods * 2.0 * math.pi / omega_theory / dt))
-    times = np.empty(n_steps + 1)
-    signal = np.empty(n_steps + 1)
-    for step in range(n_steps + 1):
-        times[step] = state.t
-        signal[step] = 2.0 / grid.cells * np.dot(state.E, probe)
-        if step < n_steps:
-            state = rk4_step(state, dt, params, opts, work)
-    omega_measured = fit_oscillation_frequency(times, signal)
+    omega_measured = _measure_mode_frequency(
+        grid, mode, dt, n_steps, params, SolverOptions(dt=dt, t_end=0.0)
+    )
     return 2.0 * math.pi / omega_measured, 2.0 * math.pi / omega_theory
+
+
+def measure_bohm_dispersion(
+    mode: int = 8,
+    cfl: float = 0.4,
+    cells: int = 64,
+    half_width: float = 100.0,
+    n_periods: float = 3.0,
+    params: PhysicsParams | None = None,
+) -> tuple[float, float, float]:
+    """(measured, discrete, continuum) angular frequency of a sine mode with the Bohm term on.
+
+    Linearising the equations about a uniform state at rest gives
+    omega^2 = omega_pe^2 * (n_e0 + n_p0) + k^4/4. On the grid, k^4 is
+    k1^2 * k2, the symbols of the first- and second-derivative stencils:
+    k1 = (8 sin(k dx) - sin(2k dx)) / (6 dx) and
+    k2 = (30 - 32 cos(k dx) + 2 cos(2k dx)) / (12 dx^2). The measured
+    frequency approaches the discrete one at RK4's order in dt; it differs
+    from the continuum one by the stencils' truncation error.
+    """
+    params = params or PhysicsParams(N0=0.2)
+    grid = Grid1D(half_width=half_width, cells=cells)
+    k, dx = math.pi * mode / half_width, grid.dx
+    k1 = (8.0 * math.sin(k * dx) - math.sin(2.0 * k * dx)) / (6.0 * dx)
+    k2 = (30.0 - 32.0 * math.cos(k * dx) + 2.0 * math.cos(2.0 * k * dx)) / (12.0 * dx * dx)
+    plasma = params.omega_pe_sq * (BASE_E + BASE_P)
+    discrete = math.sqrt(plasma + k1 * k1 * k2 / 4.0)
+    continuum = math.sqrt(plasma + k**4 / 4.0)
+    dt = cfl * dx
+    n_steps = int(round(n_periods * 2.0 * math.pi / discrete / dt))
+    opts = SolverOptions(dt=dt, t_end=0.0, bohm=True)
+    return _measure_mode_frequency(grid, mode, dt, n_steps, params, opts), discrete, continuum
+
+
+def measure_recombination_error(dt: float = 25.0, t_end: float = 2000.0) -> float:
+    """Relative error of n_p at t_end with recombination alone (a = 1e-3, M = 16).
+
+    A uniform neutral state stays uniform, so E stays exactly 0 and
+    n_e = 1 + n_p, and dn_p/dt = -a n_p (1 + n_p) has the closed form
+    n_p(t) = 1 / ((1 + 1/n_p0) e^{a t} - 1).
+    """
+    params = PhysicsParams(N0=0.2, a=1e-3)
+    grid = Grid1D(half_width=2000.0, cells=16)
+    state = initial_condition(InitialCondition(kind="uniform"), grid, params)
+    n_p0 = float(state.n_p[0])
+    opts = SolverOptions(dt=dt, t_end=t_end)
+    work = Workspace(grid.cells)
+    for _ in range(round(t_end / dt)):
+        state = rk4_step(state, dt, params, opts, work)
+    want = 1.0 / ((1.0 + 1.0 / n_p0) * math.exp(params.a * state.t) - 1.0)
+    return float(np.max(np.abs(state.n_p - want)) / want)
 
 
 def check_kernels(seed: int = 2094) -> list[CheckResult]:
@@ -229,10 +292,31 @@ def check_langmuir() -> list[CheckResult]:
     ]
 
 
+def check_quantum_and_recombination() -> list[CheckResult]:
+    # bounds about twice the errors measured with numpy 2.4 (2.2e-8 and 6.8e-9)
+    measured, discrete, continuum = measure_bohm_dispersion()
+    rel = abs(measured - discrete) / discrete
+    recombination = measure_recombination_error()
+    return [
+        CheckResult(
+            "quantum physics: Bohm dispersion matches the discrete closed form",
+            rel < 5e-8,
+            f"omega {measured:.8g} vs {discrete:.8g} (rel. err {rel:.2e}); "
+            f"continuum {continuum:.6g}",
+        ),
+        CheckResult(
+            "recombination: n_p matches its closed form",
+            recombination < 1.5e-8,
+            f"rel. err of n_p at t = 2000, dt = 25: {recombination:.2e}",
+        ),
+    ]
+
+
 def run_all() -> list[CheckResult]:
     results = []
     results += check_kernels()
     results += check_operators()
     results += check_field_update_identity()
     results += check_langmuir()
+    results += check_quantum_and_recombination()
     return results

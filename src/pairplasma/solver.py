@@ -102,10 +102,21 @@ from .output import read_snapshot
 # Hard step-size ceiling: signal speeds never exceed c = 1 in these units.
 CFL_MAX = 0.5
 
-# RK4 is stable on the negative real axis for |lambda*dt| up to about 2.785.
-# Hyperdiffusion damps the grid-scale mode at rate 16*nu_h, so it needs
-# 16*nu_h*dt <= RK4_REAL_LIMIT.
+# RK4 is stable on the negative real axis for |lambda*dt| up to about 2.785,
+# and on the imaginary axis up to 2*sqrt(2). Hyperdiffusion damps the
+# grid-scale mode at rate 16*nu_h. The Bohm term is dispersive: its fastest
+# grid mode (theta = k*dx near 2.07) oscillates at BOHM_OMEGA_DX2/dx^2, the
+# maximum over theta of |k1|*sqrt(k2)/2 * dx^2 (k1, k2 the symbols of the
+# first- and second-derivative stencils), rounded up. The triangle with
+# vertices 0, -RK4_REAL_LIMIT and i*RK4_IMAG_LIMIT lies inside RK4's stability
+# region, and the eigenvalues of the two terms, -nu_h (2 - 2 cos theta)^2
+# +- i omega(theta), lie in the rectangle [-16 nu_h, 0] x [-omega_max, omega_max].
+# So a step is stable when that rectangle times dt stays in the triangle:
+#     16*nu_h*dt/RK4_REAL_LIMIT + omega_max*dt/RK4_IMAG_LIMIT <= 1,
+# with omega_max = 0 when the Bohm term is off.
 RK4_REAL_LIMIT = 2.785
+RK4_IMAG_LIMIT = 2.0 * math.sqrt(2.0)
+BOHM_OMEGA_DX2 = 1.258294
 
 IC_KINDS = ("gaussian", "sine", "uniform", "file")
 
@@ -420,6 +431,31 @@ def _stage(state: SimState, deriv: np.ndarray, h: float, work: Workspace) -> Sim
     return SimState(state.grid, state.t + h, work.stage)
 
 
+def _check_stability(dt: float, dx: float, opts: SolverOptions):
+    """Raise InvalidParameterError if dt breaks the stability rule at RK4_REAL_LIMIT.
+
+    The rule is multiplied through by RK4_REAL_LIMIT, so that with the Bohm
+    term off it is exactly 16*nu_h*dt <= RK4_REAL_LIMIT.
+    """
+    omega_max = BOHM_OMEGA_DX2 / (dx * dx) if opts.bohm else 0.0
+    if 16.0 * opts.nu_h * dt + RK4_REAL_LIMIT / RK4_IMAG_LIMIT * omega_max * dt <= RK4_REAL_LIMIT:
+        return
+    if not opts.bohm:
+        raise InvalidParameterError(
+            f"solver.nu_h = {opts.nu_h} at dt = {dt} breaks RK4's stability bound "
+            f"16*nu_h*dt <= {RK4_REAL_LIMIT}; the largest nu_h allowed at this dt is "
+            f"{RK4_REAL_LIMIT / (16.0 * dt):.6g}"
+        )
+    rate = 16.0 * opts.nu_h / RK4_REAL_LIMIT + omega_max / RK4_IMAG_LIMIT
+    terms = f"solver.bohm = on and solver.nu_h = {opts.nu_h}" if opts.nu_h else "solver.bohm = on"
+    raise InvalidParameterError(
+        f"{terms} at dt = {dt} (dx = {dx:.6g}) breaks RK4's stability bound "
+        f"16*nu_h*dt/{RK4_REAL_LIMIT} + {BOHM_OMEGA_DX2}*dt/(2*sqrt(2)*dx^2) <= 1 "
+        f"(here {rate * dt:.4g}); the largest dt allowed is {1.0 / rate:.6g} "
+        f"(cfl {1.0 / (rate * dx):.6g})"
+    )
+
+
 def rk4_step(
     state: SimState, dt: float, params: PhysicsParams, opts: SolverOptions, work=None
 ) -> SimState:
@@ -429,18 +465,14 @@ def rk4_step(
     with a new array, leaving `work` primed for it. Raises
     NumericalBreakdownError if any stage state or the returned state holds
     a non-finite value, and InvalidParameterError if dt breaks the CFL
-    bound or puts the hyperdiffusion damping outside RK4's stability region.
+    bound or puts hyperdiffusion or the Bohm term outside RK4's stability
+    region (see RK4_REAL_LIMIT).
     """
     if not (0.0 < dt <= CFL_MAX * state.grid.dx * (1.0 + 1e-12)):
         raise InvalidParameterError(
             f"dt = {dt} violates the step bound dt <= {CFL_MAX}*dx = {CFL_MAX * state.grid.dx}"
         )
-    if 16.0 * opts.nu_h * dt > RK4_REAL_LIMIT:
-        raise InvalidParameterError(
-            f"solver.nu_h = {opts.nu_h} at dt = {dt} breaks RK4's stability bound "
-            f"16*nu_h*dt <= {RK4_REAL_LIMIT}; the largest nu_h allowed at this dt is "
-            f"{RK4_REAL_LIMIT / (16.0 * dt):.6g}"
-        )
+    _check_stability(dt, state.grid.dx, opts)
     if work is None:
         work = Workspace(state.grid.cells)
     slot_a, slot_b, slot_c = work.k

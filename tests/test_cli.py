@@ -122,6 +122,32 @@ class TestRunCommand:
         else:
             assert out.startswith("run finished at t = 1500:")
 
+    # M = 64 at cfl 0.4: the Bohm term alone allows dt <= 2.2478 dx^2. Unchecked,
+    # dx = 0.15 (dt/dx^2 = 2.67) ends at t = 2.01 in "density <= 0 ... (cold-fluid
+    # wave breaking)", which names the wrong cause; dx = 0.18 (2.22) runs to the
+    # end. At dx = 0.2 the Bohm term takes 0.890 of the rule and nu_h = 0.23 or
+    # 0.25 the rest, for 0.996 (runs) or 1.005 (rejected)
+    @pytest.mark.parametrize(
+        "half_width,nu_h,t_end,code",
+        [(4.8, 0.0, 240, 1), (5.76, 0.0, 240, 0), (6.4, 0.23, 24, 0), (6.4, 0.25, 24, 1)],
+    )
+    def test_bohm_step_bound(self, tmp_path, capsys, half_width, nu_h, t_end, code):
+        outdir = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            f"grid.cells = 64\ngrid.half_width = {half_width}\nic.kind = sine\n"
+            f"ic.epsilon = 1e-3\nic.mode = 1\nsolver.bohm = on\nsolver.nu_h = {nu_h}\n"
+            f"solver.t_end = {t_end}\noutput.series_every = 0\noutput.dir = {outdir}\n",
+        )
+        assert cli_main(["run", cfg]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err.startswith("configuration error: solver.bohm = on")
+            assert "the largest dt allowed is" in err
+            assert not outdir.exists()
+        else:
+            assert out.startswith(f"run finished at t = {t_end}:")
+
 
 GOOD_ROW = "-3.0,0.0,1.01,0.01,0.0,0.0"
 
@@ -378,3 +404,5 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "checks passed" in out
+        assert "PASS  quantum physics: Bohm dispersion matches the discrete closed form" in out
+        assert "PASS  recombination: n_p matches its closed form" in out

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,3 +321,20 @@ class TestManifest:
         assert parse_config(manifest["config"]) == cfg
         for name, digest in manifest["outputs"].items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    # 4 MB, about one M = 32768 snapshot: the digests are taken in 64 KiB
+    # blocks, so the manifest step does not hold a whole file in memory
+    @pytest.mark.parametrize("size", [0, 64 * 1024, 4 * 1024 * 1024], ids=["empty", "one_block", "4MB"])
+    def test_digest_is_streamed(self, tmp_path, size):
+        data = np.random.default_rng(size).bytes(size)
+        path = tmp_path / "fields_000000.csv"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            manifest_path = write_manifest("", tmp_path, [path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["outputs"] == {path.name: hashlib.sha256(data).hexdigest()}
+        assert peak < 256 * 1024

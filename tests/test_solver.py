@@ -18,7 +18,9 @@ from pairplasma.grid import Grid1D, ddx, hyperdiffusion, integrate
 from pairplasma.kernels import PhysicsParams, pair_factor
 from pairplasma.selfcheck import (
     fit_oscillation_frequency,
+    measure_bohm_dispersion,
     measure_langmuir_period,
+    measure_recombination_error,
     random_smooth_state,
 )
 from pairplasma.solver import (
@@ -275,6 +277,42 @@ class TestRk4Step:
         message = str(excinfo.value)
         assert "solver.nu_h" in message and "2.785" in message
         assert f"{largest:.6g}" in message
+
+    def test_bohm_frequency_constant_is_the_grid_maximum(self):
+        # omega(theta) dx^2 = |k1| sqrt(k2) / 2 with k1, k2 the stencil symbols
+        theta = np.linspace(0.0, np.pi, 200001)
+        k1 = (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / 6.0
+        k2 = (30.0 - 32.0 * np.cos(theta) + 2.0 * np.cos(2.0 * theta)) / 12.0
+        peak = float(np.max(np.abs(k1) * np.sqrt(k2) / 2.0))
+        assert peak <= sv.BOHM_OMEGA_DX2 <= peak + 1e-6
+
+    def test_stability_triangle_lies_in_rk4_region(self):
+        # the step rule keeps every eigenvalue times dt in the triangle with
+        # vertices 0, -RK4_REAL_LIMIT and i*RK4_IMAG_LIMIT
+        u, v = np.meshgrid(np.linspace(0.0, 1.0, 401), np.linspace(0.0, 1.0, 401))
+        inside = u + v <= 1.0
+        z = -sv.RK4_REAL_LIMIT * u[inside] + 1j * sv.RK4_IMAG_LIMIT * v[inside]
+        amplification = np.abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
+        assert np.max(amplification) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("nu_h_share", [0.0, 0.5], ids=["bohm", "bohm_and_nu_h"])
+    def test_bohm_step_bound(self, nu_h_share):
+        # the Bohm term's fastest mode oscillates at 1.2583/dx^2, and RK4 is
+        # stable up to 2*sqrt(2) on the imaginary axis; with hyperdiffusion
+        # the two shares of the rule add up to 1 at the largest dt
+        grid = Grid1D(half_width=3.2, cells=64)
+        state = uniform_state(grid)
+        omega_max = sv.BOHM_OMEGA_DX2 / grid.dx**2
+        largest = (1.0 - nu_h_share) * sv.RK4_IMAG_LIMIT / omega_max
+        nu_h = nu_h_share * sv.RK4_REAL_LIMIT / (16.0 * largest)
+        opts = SolverOptions(t_end=1.0, bohm=True, nu_h=nu_h)
+        rk4_step(state, largest * (1.0 - 1e-9), PARAMS, opts)
+        with pytest.raises(InvalidParameterError) as excinfo:
+            rk4_step(state, largest * (1.0 + 1e-9), PARAMS, opts)
+        message = str(excinfo.value)
+        assert message.startswith("solver.bohm = on")
+        assert ("solver.nu_h" in message) == bool(nu_h)
+        assert f"the largest dt allowed is {largest:.6g}" in message
 
     @pytest.mark.parametrize("bohm", [False, True], ids=["bohm_off", "bohm_on"])
     @pytest.mark.parametrize("displacement_terms", [False, True], ids=["disp_off", "disp_on"])
@@ -860,6 +898,10 @@ class TestRecombinationClosedForm:
         want = 1.0 / ((1.0 + 1.0 / n_p0) * math.exp(a * state.t) - 1.0)
         return float(np.max(np.abs(state.n_p - want)) / want)
 
+    def test_check_measures_the_same_error(self):
+        # `pairplasma check` steps rk4_step itself; `run` takes the same steps
+        assert measure_recombination_error(25.0) == self.relative_error(25.0)
+
     def test_matches_closed_form_at_fourth_order(self):
         errors = [self.relative_error(dt) for dt in self.MEASURED]
         for error, measured in zip(errors, self.MEASURED.values()):
@@ -876,9 +918,54 @@ class TestLinearDispersion:
         )
         assert measured == pytest.approx(theory, rel=2e-4)
 
+    # Bohm term on, mode 8 at M = 64 and half_width 100 (k = 0.251, k dx =
+    # 0.785): relative error of the measured frequency against the discrete
+    # dispersion relation per cfl; each bound is twice its measurement
+    BOHM_MEASURED = {0.4: 2.22e-8, 0.2: 1.38e-9}
+
+    def test_bohm_dispersion_matches_discrete_closed_form(self):
+        errors = []
+        for cfl, measured in self.BOHM_MEASURED.items():
+            omega, discrete, continuum = measure_bohm_dispersion(mode=8, cfl=cfl)
+            errors.append(abs(omega - discrete) / discrete)
+            assert errors[-1] <= 2.0 * measured
+            # the rest is the stencils' truncation error, the same at both cfl
+            assert abs(omega - continuum) / continuum == pytest.approx(1.28e-2, rel=0.01)
+        # RK4: halving the step gains about 2^4 = 16
+        assert errors[0] / errors[1] >= 10.0
+
     @pytest.mark.parametrize("decay", [0.0, 2e-3])
     def test_frequency_fit_is_exact_on_a_damped_cosine(self, decay):
         t = 2.0 * np.arange(400)
         omega = 0.3
         y = 1.7 * np.exp(-decay * t) * np.cos(omega * t + 0.4)
         assert fit_oscillation_frequency(t, y) == pytest.approx(omega, rel=1e-10)
+
+
+class TestPreCausticConvergence:
+    """delta_pairs of the reference run converges in M up to t = 1000.
+
+    The reference is the reference config at M = 8192 and cfl 0.1, run to
+    t = 1000 (about 3 s, too long for the suite): its final delta_pairs was
+    pinned from `run` on that config. The runs here use cfl 0.4. The test
+    stops at t = 1000 because the cold-fluid flow steepens into a caustic
+    later on: past it the solutions stop converging pointwise, and at
+    t = 1500 M = 4096 and M = 8192 (both at cfl 0.1) still differ by 1.7e-4.
+    """
+
+    REFERENCE = 1049.949925597255
+    # relative error of the final delta_pairs measured per M; each bound is
+    # twice its measurement
+    MEASURED = {1024: 2.08e-3, 2048: 3.33e-4, 4096: 1.67e-5}
+
+    def test_delta_pairs_converges_in_cells(self):
+        errors = []
+        for cells, measured in self.MEASURED.items():
+            config = parse_config(
+                f"grid.cells = {cells}\nsolver.t_end = 1000\n"
+                "output.series_every = 0\noutput.snapshot_every = 0\n"
+            )
+            delta_pairs = run(config).records[-1].delta_pairs
+            errors.append(abs(delta_pairs - self.REFERENCE) / self.REFERENCE)
+            assert errors[-1] <= 2.0 * measured
+        assert errors[0] > errors[1] > errors[2]
