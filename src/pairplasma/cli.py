@@ -10,8 +10,9 @@ failing check), 3 I/O error.
 
 `run` writes its outputs once the solve has returned, complete or broken
 down: series.csv, then the snapshots in up to one process per available
-CPU (`output.write_snapshots`), then, after every writer has finished, the
-manifest with the digests of the files on disk. `init` is a run with
+CPU (`output.write_snapshots`), then, after every writer has finished and
+the share of any writer that failed has been written again, the manifest
+with the digests of the files on disk. `init` is a run with
 `solver.t_end = 0` and writes the same way.
 """
 
@@ -23,7 +24,7 @@ from pathlib import Path
 from . import __version__, solver
 from .config import RunConfig, format_config, parse_config
 from .errors import ConfigError, InvalidParameterError, NumericalBreakdownError, PairPlasmaError
-from .output import SERIES_FILENAME, format_column, write_manifest, write_series, write_snapshots
+from .output import SERIES_FILENAME, write_manifest, write_series, write_snapshots
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -40,7 +41,7 @@ def _write_outputs(config: RunConfig, records, snapshots) -> Path:
     outdir = Path(config.output.dir)
     outdir.mkdir(parents=True, exist_ok=True)
     files = [write_series(records, outdir / SERIES_FILENAME)]
-    files += write_snapshots(snapshots, outdir, format_column(config.grid.x))
+    files += write_snapshots(snapshots, outdir)
     write_manifest(format_config(config), outdir, files)
     return outdir
 

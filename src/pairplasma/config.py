@@ -124,9 +124,6 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as err:
             raise ConfigError(f"line {lineno}: bad value for {section}.{key}: {err}") from None
 
-    if ("solver", "dt") in values and ("solver", "cfl") in values:
-        raise ConfigError("solver.dt and solver.cfl are mutually exclusive; set only one")
-
     def section(name):
         return {key: v for (sec, key), v in values.items() if sec == name}
 

@@ -21,9 +21,9 @@ import numpy as np
 from . import constants
 from .errors import InvalidParameterError, InvalidStateError
 
-# Below this field strength q0 and q0/E are forced to exact zero. The true
-# values underflow double precision near |E| ~ pi/708 ~ 4.4e-3 anyway; the
-# guard only removes 0/0 and spurious signs at E = 0.
+# Default of `physics.eps_field`. `pair_factor` zeroes every cell with
+# |E| < max(eps_field, UNDERFLOW_FIELD), so a value up to pi/746 ~ 4.21e-3,
+# this one included, changes no bit: the cutoff is UNDERFLOW_FIELD.
 DEFAULT_EPS_FIELD = 1e-8
 
 # exp(x) rounds to exactly 0 for x below about -745.13, so exp(-pi/|E|) is
@@ -55,7 +55,8 @@ class PhysicsParams:
     N0        : dimensionless reference density n0 * h^3 / (m_e c)^3
     alpha     : fine-structure constant (configurable; CODATA by default)
     a         : recombination coefficient for the n_e*n_p loss term (0 = off)
-    eps_field : small-field guard below which q0 and q0/E are exact zero
+    eps_field : q0 and q0/E are exact zero where |E| < max(eps_field, pi/746);
+                only a value above pi/746 ~ 4.21e-3 changes the run
     """
 
     N0: float = 0.2

@@ -8,7 +8,9 @@ configuration (re-parseable) and a SHA-256 digest of every file written.
 `write_snapshots` writes the snapshots of a finished run in up to one
 process per available CPU: the calling process and writers forked from it.
 Each file is written whole by one process with `write_snapshot`, so the
-bytes do not depend on the number of writers.
+bytes do not depend on the number of writers. A forked writer reports only
+its exit status; the calling process writes the share of a writer that
+failed or died again itself, once every writer has ended.
 """
 
 import hashlib
@@ -83,72 +85,52 @@ def _writer_count(n_snapshots: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_snapshots))
 
 
-def _write_share_and_exit(share, outdir, x_text, pipe_w: int):
-    """Body of a forked writer: write its share, report any error, never return.
-
-    Whatever happens, the process leaves through `os._exit`, so it never
-    returns into its caller's stack (a test runner, a benchmark harness)
-    and never flushes the stdio buffers it inherited.
-    """
-    code = 1
-    try:
-        for index, state in share:
-            write_snapshot(state, index, outdir, x_text)
-        code = 0
-    except BaseException as err:  # reported to the parent, which raises it
-        os.write(pipe_w, (str(err) or repr(err)).encode("utf-8", "replace"))
-    finally:
-        os._exit(code)
+def _write_share(share, outdir, x_text):
+    for index, state in share:
+        write_snapshot(state, index, outdir, x_text)
 
 
-def _reap(pid: int, pipe_r: int):
-    """Wait for one forked writer; return its error text, or None if it succeeded."""
-    with open(pipe_r, "rb") as pipe:
-        message = pipe.read().decode("utf-8", "replace")
-    _, status = os.waitpid(pid, 0)
-    if status == 0:
-        return None
-    return message or f"snapshot writer {pid} exited with status {os.waitstatus_to_exitcode(status)}"
-
-
-def write_snapshots(snapshots, outdir, x_text) -> list:
+def write_snapshots(snapshots, outdir) -> list:
     """Write (index, state) snapshots with `write_snapshot`; return the paths in order.
 
     There are n = min(CPUs available, len(snapshots)) writers. Writer k
     writes snapshots[k::n]; the calling process is writer 0 and the others
-    are forked from it, so with n == 1 nothing is forked. Every writer is
-    reaped before this returns, whether or not the caller's own share
-    failed; an error in a forked writer is raised here as `OSError` with
-    that writer's message.
+    are forked from it, so with n == 1 nothing is forked. A forked writer
+    reports only its exit status and leaves through `os._exit`, so it never
+    returns into its caller's stack (a test runner, a benchmark harness) nor
+    flushes the stdio buffers it inherited. Every writer is reaped before
+    this returns or raises the caller's own error; then the caller writes
+    again the share of each writer that failed or died, so an error that
+    persists is raised here, naming the path. The x column is formatted
+    once, from the first snapshot's grid.
 
     A forked writer only converts arrays with `tolist`, formats floats and
     writes files; it calls no BLAS routine. Python 3.12+ warns
     (`DeprecationWarning`) when a process with other threads forks, and
     numpy's OpenBLAS starts threads at import; they are idle here.
     """
+    if not snapshots:  # a run that broke down in its initial state
+        return []
     paths = [Path(outdir) / snapshot_filename(index) for index, _ in snapshots]
+    x_text = format_column(snapshots[0][1].grid.x)
     n = _writer_count(len(snapshots))
-    writers = []  # (pid, read end of its error pipe)
+    writers = {}  # pid -> k
     try:
         for k in range(1, n):
-            pipe_r, pipe_w = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(pipe_r)
-                os.close(pipe_w)
-                raise
+            pid = os.fork()
             if pid == 0:
-                _write_share_and_exit(snapshots[k::n], outdir, x_text, pipe_w)
-            os.close(pipe_w)
-            writers.append((pid, pipe_r))
-        for index, state in snapshots[0::n]:
-            write_snapshot(state, index, outdir, x_text)
+                code = 1
+                try:
+                    _write_share(snapshots[k::n], outdir, x_text)
+                    code = 0
+                finally:
+                    os._exit(code)
+            writers[pid] = k
+        _write_share(snapshots[0::n], outdir, x_text)
     finally:
-        errors = [_reap(pid, pipe_r) for pid, pipe_r in writers]
-    errors = [e for e in errors if e is not None]
-    if errors:
-        raise OSError(errors[0])
+        failed = [k for pid, k in writers.items() if os.waitpid(pid, 0)[1] != 0]
+    for k in failed:
+        _write_share(snapshots[k::n], outdir, x_text)
     return paths
 
 

@@ -196,7 +196,9 @@ class SolverOptions:
 
     def __post_init__(self):
         if self.dt is not None and self.cfl is not None:
-            raise InvalidParameterError("dt and cfl are mutually exclusive; set only one")
+            raise InvalidParameterError(
+                "solver.dt and solver.cfl are mutually exclusive; set only one"
+            )
         if self.dt is None and self.cfl is None:
             self.cfl = 0.4
         if self.dt is not None and not (self.dt > 0.0):
@@ -516,8 +518,8 @@ def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams)
         n_e, n_p = fields_["n_e"], fields_["n_p"]
         p_e, p_p = fields_["p_e"], fields_["p_p"]
         if len(n_e) != grid.cells:
-            raise InvalidParameterError(
-                f"snapshot has {len(n_e)} cells but the grid has {grid.cells}"
+            raise ConfigError(
+                f"snapshot {ic.path} has {len(n_e)} cells but the grid has {grid.cells}"
             )
         # `not <=` also rejects a NaN in the x column
         if not np.max(np.abs(fields_["x"] - grid.x)) <= X_TOLERANCE * grid.dx:

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: subcommands, exit codes, output layout."""
 
+import errno
 import hashlib
 import json
 import os
@@ -12,11 +13,11 @@ import numpy as np
 import pytest
 
 import pairplasma
-from pairplasma import __version__
+from pairplasma import __version__, output
 from pairplasma.cli import cli_main
 from pairplasma.config import parse_config
 from pairplasma.grid import Grid1D
-from pairplasma.output import format_column, write_snapshot, write_snapshots
+from pairplasma.output import write_snapshot, write_snapshots
 from pairplasma.solver import SimState
 
 SMALL_RUN = """
@@ -206,9 +207,9 @@ class TestBadRestartInput:
         assert not (tmp_path / "out").exists()
 
     @staticmethod
-    def snapshot_on(tmp_path, half_width):
-        # a uniform state at the cell centres of an 8-cell grid of this half-width
-        rows = [f"{x!r},0.0,1.01,0.01,0.0,0.0\n" for x in Grid1D(half_width, 8).x.tolist()]
+    def snapshot_on(tmp_path, half_width, cells=8):
+        # a uniform state at the cell centres of a grid of this half-width
+        rows = [f"{x!r},0.0,1.01,0.01,0.0,0.0\n" for x in Grid1D(half_width, cells).x.tolist()]
         snapshot = tmp_path / "restart.csv"
         snapshot.write_text("# t = 250.0\nx,E,n_e,n_p,p_e,p_p\n" + "".join(rows))
         return snapshot
@@ -223,6 +224,18 @@ class TestBadRestartInput:
         assert cli_main(["run", cfg]) == 0
         # the restart clock starts at 0, whatever time the snapshot was taken at
         assert (tmp_path / "out" / "series.csv").read_text().splitlines()[1].startswith("0.0,")
+
+    def test_snapshot_with_another_cell_count_is_config_error(self, tmp_path, capsys):
+        snapshot = self.snapshot_on(tmp_path, 24000.0, cells=16)
+        cfg = write_config(
+            tmp_path,
+            f"grid.cells = 8\nic.kind = file\nic.path = {snapshot}\noutput.dir = {tmp_path / 'out'}\n",
+        )
+        assert cli_main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("configuration error: ")
+        assert f"snapshot {snapshot} has 16 cells but the grid has 8" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("half_width", [12000.0, 24000.0 * (1 + 1e-5)])
     def test_snapshot_of_another_grid_is_config_error(self, tmp_path, capsys, half_width):
@@ -335,11 +348,60 @@ class TestParallelWriters:
         (tmp_path / "fields_000001.csv").mkdir()
         self.use_cpus(monkeypatch, 3)
         with pytest.raises(OSError, match="fields_000001.csv"):
-            write_snapshots(snapshots, tmp_path, format_column(grid.x))
+            write_snapshots(snapshots, tmp_path)
         self.assert_no_child_left()
         for i in (0, 2):  # the other writers' shares are complete
             written = (tmp_path / f"fields_00000{i}.csv").read_bytes()
             assert written == write_snapshot(snapshots[i][1], 9, tmp_path).read_bytes()
+
+    def test_dead_writer_share_is_written_by_the_run_process(self, tmp_path, monkeypatch):
+        # every forked writer dies before writing a file; the run process
+        # writes their shares itself, and the manifest digests them
+        outdir = tmp_path / "out"
+        cfg = write_config(tmp_path, MANY_SNAPSHOTS + f"output.dir = {outdir}\n")
+        run_pid = os.getpid()
+        write = output.write_snapshot
+
+        def dies_when_forked(*args):
+            if os.getpid() != run_pid:
+                os._exit(1)
+            return write(*args)
+
+        monkeypatch.setattr(output, "write_snapshot", dies_when_forked)
+        outputs = []
+        for writers in (1, 3):
+            self.use_cpus(monkeypatch, writers)
+            forks = self.count_forks(monkeypatch)
+            assert cli_main(["run", cfg]) == 0
+            assert len(forks) == writers - 1
+            outputs.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
+            shutil.rmtree(outdir)
+        self.assert_no_child_left()
+        serial, parallel = outputs
+        assert sum(name.startswith("fields_") for name in serial) == 11
+        assert "manifest.json" in serial
+        assert parallel == serial
+
+    def test_failed_fork_exits_3(self, tmp_path, monkeypatch, capsys):
+        outdir = tmp_path / "out"
+        cfg = write_config(tmp_path, MANY_SNAPSHOTS + f"output.dir = {outdir}\n")
+        self.use_cpus(monkeypatch, 3)
+        calls = []
+        fork = os.fork
+
+        def second_fails():
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        assert cli_main(["run", cfg]) == 3
+        assert len(calls) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("I/O error: ")
+        assert not (outdir / "manifest.json").exists()
+        self.assert_no_child_left()
 
     def test_init_forks_nothing(self, tmp_path, monkeypatch):
         self.use_cpus(monkeypatch, 4)
@@ -353,7 +415,7 @@ class TestParallelWriters:
         forks = self.count_forks(monkeypatch, real=False)
         grid = Grid1D(24000.0, 64)
         state = SimState.from_fields(grid, 0.0, *np.ones((5, grid.cells)))
-        paths = write_snapshots([(7, state)], tmp_path, format_column(grid.x))
+        paths = write_snapshots([(7, state)], tmp_path)
         assert paths == [tmp_path / "fields_000007.csv"]
         assert paths[0].read_bytes() == write_snapshot(state, 8, tmp_path).read_bytes()
         assert forks == []
