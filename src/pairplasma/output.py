@@ -144,7 +144,7 @@ def read_snapshot(path):
     """
     t = 0.0
     names = None
-    rows = []
+    values = []  # every data row, end to end
     linenos = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -164,16 +164,16 @@ def read_snapshot(path):
                     if twice:
                         raise ValueError(f"header names column(s) {', '.join(twice)} twice")
                 else:
-                    row = [float(s) for s in line.split(",")]
+                    row = line.split(",")
+                    values.extend(map(float, row))
                     if len(row) != len(names):
                         raise ValueError(f"{len(row)} values, the header has {len(names)} columns")
-                    rows.append(row)
                     linenos.append(lineno)
             except ValueError as err:
                 raise ConfigError(f"snapshot {path}, line {lineno}: {err}") from None
-    if not rows:
+    if not linenos:
         raise ConfigError(f"snapshot {path} contains no data rows")
-    data = np.asarray(rows, dtype=np.float64)
+    data = np.array(values, dtype=np.float64).reshape(len(linenos), len(names))
     used = [names.index(c) for c in SNAPSHOT_COLUMNS]
     bad = ~np.isfinite(data[:, used])
     if bad.any():

@@ -252,22 +252,44 @@ class TestBadRestartInput:
         assert str(snapshot) in err and "x column" in err
 
 
+def run_python(code, *args):
+    """Run `code` in a fresh interpreter that imports the package under test."""
+    src = str(Path(pairplasma.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # the package does not use scipy, `check` included
     code = (
         "import sys, pairplasma.cli, pairplasma.selfcheck\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    src = str(Path(pairplasma.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    out = run_python(code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_run_leaves_few_objects_to_the_collector(tmp_path):
+    # cli_main freezes what the imports built, so the collections at
+    # interpreter exit have almost nothing left to walk (about 22,000
+    # objects without the freeze)
+    cfg = write_config(tmp_path, f"grid.cells = 64\nsolver.t_end = 10\noutput.dir = {tmp_path / 'out'}\n")
+    code = (
+        "import gc, sys\n"
+        "from pairplasma.cli import cli_main\n"
+        "code = cli_main(['run', sys.argv[1]])\n"
+        "print(len(gc.get_objects()))\n"
+        "sys.exit(code)\n"
+    )
+    out = run_python(code, cfg)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout.splitlines()[-1]) < 2000
 
 
 MANY_SNAPSHOTS = "grid.cells = 256\nsolver.t_end = 1500\noutput.snapshot_every = 2\n"  # 11
