@@ -38,7 +38,10 @@ EXIT_IO = 3
 
 
 def _load_config(path: str) -> RunConfig:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config {path} is not UTF-8 text: {err}") from None
     return parse_config(text)
 
 

@@ -16,11 +16,10 @@ Each section is a field of `RunConfig`; its keys, their types and their
 defaults are the init fields of that field's dataclass, and the parser reads
 them from there (`_SCHEMA`). Summary:
 
-    physics: N0=0.2  alpha=7.2973525693e-3  a=0.0  eps_field=1e-8
+    physics: N0=0.2  alpha=7.2973525693e-3  a=0.0
     grid:    half_width=24000.0  cells=2048
     solver:  cfl=0.4 (or dt)  t_end=1500.0  displacement_terms=on
-             bohm=off  nu_h=0.0  ampere_sign_flip=off
-             stop_on_negative_density=off
+             bohm=off  nu_h=0.0  stop_on_negative_density=off
     ic:      kind=gaussian  L=6000.0  base_e=1.01  base_p=0.01
              amplitude=2.0  epsilon=1e-6  mode=2  path=
     output:  dir=out  series_every=1  snapshot_every=40

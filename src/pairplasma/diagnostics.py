@@ -79,8 +79,8 @@ def gauss_residual(state, omega_pe_sq: float, work=None) -> float:
 def energy_balance_rhs(state, params: PhysicsParams, work=None) -> float:
     """Exact semi-discrete d(E_tot)/dt when displacement terms are on and a = 0.
 
-    q0/E = E * phi uses the solver's guarded pair factor, so the integrand
-    vanishes identically where the field is negligible. With `work` (see
+    q0/E = E * phi uses the solver's pair factor, so the integrand vanishes
+    identically where exp(-pi/|E|) underflows. With `work` (see
     `make_record`) phi is read from it and the free buffers are used.
     """
     dx = state.grid.dx
@@ -88,7 +88,7 @@ def energy_balance_rhs(state, params: PhysicsParams, work=None) -> float:
     gamma_sq_diff = np.multiply(state.p_e, state.p_e, out=pad[2:-2])  # g^2 = 1 + p^2
     gamma_sq_diff -= np.multiply(state.p_p, state.p_p, out=integrand)
     ddx(pad, dx, out=dgsq, tmp=integrand)
-    phi = pair_factor(state.E, params.N0, params.eps_field) if work is None else work.phi
+    phi = pair_factor(state.E, params.N0) if work is None else work.phi
     q0_over_e = np.multiply(state.E, phi, out=integrand)
     q0_over_e *= 0.5
     q0_over_e *= dgsq

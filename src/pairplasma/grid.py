@@ -200,7 +200,9 @@ def poisson_init_E(
     theta = 2.0 * np.pi * np.arange(m // 2 + 1) / m
     # Modified wavenumber of the ddx stencil on mode exp(i*theta*j).
     k_eff = (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / (6.0 * grid.dx)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # k_eff is 0 at the mean and rounds to ~1e-16/dx at Nyquist, so those two
+    # entries, overwritten below, may divide by zero or overflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         e_hat = spectrum / (1j * k_eff)
     e_hat[0] = 0.0  # mean: free constant, fixed by the seam anchor below
     e_hat[-1] = 0.0  # Nyquist: null mode of the stencil

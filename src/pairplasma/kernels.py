@@ -21,11 +21,6 @@ import numpy as np
 from . import constants
 from .errors import InvalidParameterError, InvalidStateError
 
-# Default of `physics.eps_field`. `pair_factor` zeroes every cell with
-# |E| < max(eps_field, UNDERFLOW_FIELD), so a value up to pi/746 ~ 4.21e-3,
-# this one included, changes no bit: the cutoff is UNDERFLOW_FIELD.
-DEFAULT_EPS_FIELD = 1e-8
-
 # exp(x) rounds to exactly 0 for x below about -745.13, so exp(-pi/|E|) is
 # exactly 0 for every |E| < pi/746.
 UNDERFLOW_FIELD = math.pi / 746.0
@@ -52,24 +47,19 @@ def derived_plasma_frequency(N0: float, alpha: float) -> float:
 class PhysicsParams:
     """Normalized physical constants of one simulation.
 
-    N0        : dimensionless reference density n0 * h^3 / (m_e c)^3
-    alpha     : fine-structure constant (configurable; CODATA by default)
-    a         : recombination coefficient for the n_e*n_p loss term (0 = off)
-    eps_field : q0 and q0/E are exact zero where |E| < max(eps_field, pi/746);
-                only a value above pi/746 ~ 4.21e-3 changes the run
+    N0    : dimensionless reference density n0 * h^3 / (m_e c)^3
+    alpha : fine-structure constant (configurable; CODATA by default)
+    a     : recombination coefficient for the n_e*n_p loss term (0 = off)
     """
 
     N0: float = 0.2
     alpha: float = constants.ALPHA_FINE_STRUCTURE
     a: float = 0.0
-    eps_field: float = DEFAULT_EPS_FIELD
     omega_pe_sq: float = field(init=False)
 
     def __post_init__(self):
         if not (self.a >= 0.0):
             raise InvalidParameterError(f"recombination coefficient a must be >= 0, got {self.a}")
-        if not (self.eps_field > 0.0):
-            raise InvalidParameterError(f"eps_field must be positive, got {self.eps_field}")
         self.omega_pe_sq = derived_plasma_frequency(self.N0, self.alpha) ** 2
 
 
@@ -95,20 +85,19 @@ def lorentz_gamma(p, out=None):
     return _maybe_scalar(np.sqrt(g, out=g))
 
 
-def pair_factor(E, N0: float, eps_field: float, out=None):
-    """Guarded factor phi = exp(-pi / |E|) / N0 shared by q0 and the displacement flux.
+def pair_factor(E, N0: float, out=None):
+    """Factor phi = exp(-pi / |E|) / N0 shared by q0 and the displacement flux.
 
-    q0 = E^2 * phi and D_s = g_s * (E * phi). Exact zero below the eps_field
-    guard and wherever the exponential underflows. The exponential is only
-    evaluated where |E| >= max(eps_field, UNDERFLOW_FIELD): below
-    UNDERFLOW_FIELD its argument is below -746, where exp rounds to exactly
-    0, so skipping those cells (numpy's exp is slow on them) changes no bit
-    of the result. NaN cells are evaluated like any other. Does no
-    validation: the solver checks its state once per stage, the public
-    kernels check their own arguments. Writes into `out` when given.
+    q0 = E^2 * phi and D_s = g_s * (E * phi). The exponential is only
+    evaluated where |E| >= UNDERFLOW_FIELD: below it its argument is below
+    -746, where exp rounds to exactly 0, so skipping those cells (numpy's
+    exp is slow on them) changes no bit of the result. NaN cells are
+    evaluated like any other. Does no validation: the solver checks its
+    state once per stage, the public kernels check their own arguments.
+    Writes into `out` when given.
     """
     abs_e = np.abs(E)
-    live = ~(abs_e < max(eps_field, UNDERFLOW_FIELD))
+    live = ~(abs_e < UNDERFLOW_FIELD)
     phi = np.empty(abs_e.shape) if out is None else out
     phi.fill(0.0)
     np.divide(-np.pi, abs_e, out=phi, where=live)
@@ -117,29 +106,28 @@ def pair_factor(E, N0: float, eps_field: float, out=None):
     return phi
 
 
-def schwinger_rate_norm(E, N0: float, eps_field: float = DEFAULT_EPS_FIELD):
+def schwinger_rate_norm(E, N0: float):
     """Normalized pair creation rate q0 = (E^2 / N0) * exp(-pi / |E|).
 
-    Even in E. Returns exact zero below the eps_field guard and wherever the
-    exponential underflows.
+    Even in E. Returns exact zero wherever the exponential underflows.
     """
     if not (N0 > 0.0):
         raise InvalidParameterError(f"N0 must be positive, got {N0}")
     arr = _checked(E)
-    return _maybe_scalar(arr * arr * pair_factor(arr, N0, eps_field))
+    return _maybe_scalar(arr * arr * pair_factor(arr, N0))
 
 
-def displacement_flux(E, gamma, N0: float, eps_field: float = DEFAULT_EPS_FIELD):
+def displacement_flux(E, gamma, N0: float):
     """Pair-displacement flux gamma * q0(E) / E = gamma * (E / N0) * exp(-pi / |E|).
 
     Models creation of the two partners at field-dependent offsets, so the
-    pair's energy is drawn from the field. Odd in E; exact zero below the
-    eps_field guard.
+    pair's energy is drawn from the field. Odd in E; exact zero wherever
+    the exponential underflows.
     """
     if not (N0 > 0.0):
         raise InvalidParameterError(f"N0 must be positive, got {N0}")
     arr = _checked(E)
-    return _maybe_scalar(gamma * (arr * pair_factor(arr, N0, eps_field)))
+    return _maybe_scalar(gamma * (arr * pair_factor(arr, N0)))
 
 
 def schwinger_rate_si(E_field):

@@ -140,18 +140,19 @@ def read_snapshot(path):
     Raises ConfigError, naming the path and the line, when a row is not
     numeric or does not match the header, when a value of one of
     SNAPSHOT_COLUMNS is not finite, when the header lacks one of them or
-    names a column twice, or when the file holds no data row.
+    names a column twice, or when a line is not UTF-8 text, and naming the
+    path when the file holds no data row.
     """
     t = 0.0
     names = None
     values = []  # every data row, end to end
     linenos = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
+                line = raw.decode("utf-8").strip()  # a UnicodeDecodeError is a ValueError
+                if not line:
+                    continue
                 if line.startswith("#"):
                     _, _, value = line.partition("=")
                     t = float(value)

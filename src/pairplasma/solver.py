@@ -21,8 +21,11 @@ stencils of the same F_e and F_p, so d/dx(dE/dt) == w2*(dn_p/dt - dn_e/dt)
 holds stencil-for-stencil, up to rounding, and the Gauss constraint is a
 linear invariant of the semi-discrete system that RK4 preserves to
 rounding. It also makes pair creation drain field energy rather than add
-it. The opposite sign is available behind `ampere_sign_flip` for
-comparison; it breaks both properties.
+it; the opposite sign would break both properties. Hyperdiffusion
+(nu_h > 0) adds the fourth-difference damping -nu_h d4 f to all five
+equations, E's included: d4 and the stencil commute and d4 of a constant
+is 0, so ddx(d4 E) = w2 d4(n_p - n_e) and the Gauss law stays an
+invariant.
 
 The electric field is advanced through this Ampere-type law; the Gauss law
 is used only to build the initial field and as a residual diagnostic.
@@ -191,7 +194,6 @@ class SolverOptions:
     displacement_terms: bool = True
     bohm: bool = False
     nu_h: float = 0.0
-    ampere_sign_flip: bool = False
     stop_on_negative_density: bool = False
 
     def __post_init__(self):
@@ -318,11 +320,12 @@ class Workspace:
     `prime` writes gamma_e and gamma_p into the interiors of rows 2-3
     (`gamma`), so one stencil call differentiates all four and refreshes
     only their ghost cells. With the Bohm term on, the stencil call takes
-    `spare` instead, a padded (4, M + 4) buffer holding F_s and g_s - Q_s/2,
-    with `root` the padded (n_s/g_s)^{1/2}. Hyperdiffusion then takes the
-    padded densities and momenta in `spare`, with (4, M) scratch
-    `spare_tmp`. The RK4 derivatives `k` and the stage state `stage` are
-    (5, M) arrays like a state's `u`; `tmp` is (4, M) stencil scratch.
+    the first four rows of `spare` instead, a padded (5, M + 4) buffer,
+    holding F_s and g_s - Q_s/2, with `root` the padded (n_s/g_s)^{1/2}.
+    Hyperdiffusion then takes all five rows of the state, padded in `spare`,
+    with (5, M) scratch `spare_tmp`. The RK4 derivatives `k` and the stage
+    state `stage` are (5, M) arrays like a state's `u`; `tmp` is (5, M)
+    stencil scratch.
     `primed` is the state whose gamma and phi the buffers hold; rhs reuses
     them for that state instead of recomputing them and rescanning it, and
     never writes into them. The solver never writes into a state's array,
@@ -331,8 +334,8 @@ class Workspace:
     """
 
     def __init__(self, cells: int):
-        shapes = [(4, cells + 4), (2, cells + 4), (cells,), (cells,), (4, cells)] + [(5, cells)] * 4
-        shapes += [(4, cells + 4), (4, cells)]
+        shapes = [(4, cells + 4), (2, cells + 4), (cells,), (cells,), (5, cells)] + [(5, cells)] * 4
+        shapes += [(5, cells + 4), (5, cells)]
         skewed = (_at_page_offset(shape, i * BUFFER_SKEW) for i, shape in enumerate(shapes))
         (self.pad, self.root, self.phi, self.scratch, self.tmp, k1, k2, k3, self.stage,
          self.spare, self.spare_tmp) = skewed
@@ -343,7 +346,7 @@ class Workspace:
     def prime(self, state: SimState, params: PhysicsParams):
         """Compute gamma_e, gamma_p and phi of `state`, which must be known finite."""
         lorentz_gamma(state.p, out=self.gamma)
-        pair_factor(state.E, params.N0, params.eps_field, out=self.phi)
+        pair_factor(state.E, params.N0, out=self.phi)
         self.primed = state
 
 
@@ -375,7 +378,7 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, 
     tmp, scratch, gamma = work.tmp, work.scratch, work.gamma
     # the stencil's four rows: the primed gammas follow the fluxes in `pad`,
     # or, with the Bohm term, g_s - Q_s/2 in `spare`, leaving the gammas unchanged
-    stack = work.spare if opts.bohm else work.pad
+    stack = work.spare[:4] if opts.bohm else work.pad
 
     flux = np.divide(p, gamma, out=stack[:2, 2:-2])
     flux *= n
@@ -384,11 +387,7 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, 
         # D_s waits in the dn slots, which the stencil below overwrites
         e_phi = np.multiply(E, work.phi, out=scratch)
         disp = np.multiply(gamma, e_phi, out=dn)
-        disp_sum = np.add(disp[0], disp[1], out=scratch)
-        if opts.ampere_sign_flip:
-            current += disp_sum
-        else:
-            current -= disp_sum
+        current -= np.add(disp[0], disp[1], out=scratch)
         flux[0] -= disp[0]
         flux[1] += disp[1]
     current *= params.omega_pe_sq
@@ -400,7 +399,7 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, 
         half_q *= 0.5
         np.subtract(gamma, half_q, out=half_q)
     # one stencil per evolved equation, all four in one call
-    ddx(stack, dx, out=out[1:5], tmp=tmp)
+    ddx(stack, dx, out=out[1:5], tmp=tmp[:4])
     np.subtract(q0, dn, out=dn)
     # -ddx - E and -ddx + E, which equals E - ddx in every bit
     np.negative(dp, out=dp)
@@ -419,9 +418,10 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, 
         dp += drag
 
     if opts.nu_h != 0.0:
-        # `spare` is free once the stencil has run
-        work.spare[:, 2:-2] = u[1:5]
-        out[1:5] += hyperdiffusion(work.spare, opts.nu_h, out=tmp, tmp=work.spare_tmp)
+        # `spare` is free once the stencil has run; E is damped as well, so
+        # that the Gauss law stays an invariant (see the module docstring)
+        work.spare[:, 2:-2] = u
+        out += hyperdiffusion(work.spare, opts.nu_h, out=tmp, tmp=work.spare_tmp)
 
     return out
 
@@ -530,6 +530,14 @@ def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams)
     E = poisson_init_E(n_e, n_p, params.omega_pe_sq, grid)
     state = SimState.from_fields(grid, 0.0, E, n_e, n_p, p_e, p_p)
     _check_fields(0.0, state.u)
+    # a finite E whose energy density E^2/(2 w2) overflows has no energy to record
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(E * E / (2.0 * params.omega_pe_sq))
+    if not finite.all():
+        cell = int(np.argmin(finite))
+        raise NumericalBreakdownError(
+            f"field energy density overflows at t = 0, cell {cell}", t=0.0, cell=cell
+        )
     _check_positive_densities(state)  # initial data must be strictly positive
     return state
 
@@ -574,7 +582,11 @@ def run(config) -> RunResult:
     snap_index = 1
     try:
         for step in range(1, n_steps + 1):
-            state = rk4_step(state, dt, params, opts, work)
+            # an overflow or invalid value in a step that leaves a field
+            # non-finite is reported by its finite scans with t and cell;
+            # numpy's warnings would only add source lines to that message
+            with np.errstate(over="ignore", invalid="ignore"):
+                state = rk4_step(state, dt, params, opts, work)
             last = step == n_steps
             if (series_every and step % series_every == 0) or last:
                 records.append(make_record(state, params, initial_n_e, work))

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,69 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("configuration error: line 2:")
         assert not (tmp_path / "out").exists()
+
+    # both keys were removed: the pair factor's cutoff is where exp underflows,
+    # and dE/dt has the one displacement sign that keeps the Gauss law
+    @pytest.mark.parametrize("line", ["physics.eps_field = 1e-8", "solver.ampere_sign_flip = on"])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, line):
+        cfg = write_config(tmp_path, f"grid.cells = 64\n{line}\noutput.dir = {tmp_path / 'out'}\n")
+        assert cli_main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        key = line.split(" = ")[0]
+        assert err == f"configuration error: line 2: unknown key {key}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"grid.cells = 64\nic.kind = caf\xe9\n")
+        assert cli_main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"configuration error: config {cfg} is not UTF-8 text: ")
+
+    # the checks report the breakdown with t and cell; numpy's overflow
+    # warnings used to come first, three of them for N0 = 1e300 and two for
+    # N0 = 1e150, whose fields overflow during a step
+    @pytest.mark.parametrize(
+        "line, code, message",
+        [
+            (
+                "physics.N0 = 1e300",
+                2,
+                "numerical breakdown: field energy density overflows at t = 0, cell 0\n",
+            ),
+            (
+                "physics.N0 = 1e150",
+                2,
+                "numerical breakdown: non-finite field value at t = 300, cell 0\n",
+            ),
+            (
+                "ic.amplitude = 1e300",
+                1,
+                "error: net charge integral -5.336706e+286 exceeds tolerance 4.800000e-04; "
+                "the periodic field equation has no solution\n",
+            ),
+        ],
+        ids=["N0", "N0_mid_run", "amplitude"],
+    )
+    def test_extreme_value_prints_no_numpy_warning(self, tmp_path, capsys, line, code, message):
+        cfg = write_config(tmp_path, f"grid.cells = 64\n{line}\noutput.dir = {tmp_path / 'out'}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["run", cfg]) == code
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == message
+
+    def test_unresolved_gaussian_keeps_numpy_warning(self, tmp_path):
+        # (x/L)^2 overflows and the run solves a uniform plasma; no check
+        # catches that, so numpy's warning is the only sign and stays
+        cfg = write_config(
+            tmp_path, f"grid.cells = 64\nic.L = 1e-300\noutput.dir = {tmp_path / 'out'}\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["run", cfg]) == 0
+        assert [str(w.message) for w in caught] == ["overflow encountered in multiply"]
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert cli_main(["run", str(tmp_path / "absent.cfg")]) == 3
@@ -185,6 +249,7 @@ BAD_SNAPSHOTS = {
     "inf_momentum": (restart_text(row=3, column="p_p", value="-inf"), 6),
     # else the last n_e column would silently win
     "duplicate_column": (restart_text(extra="n_e"), 2),
+    "non_utf8": (restart_text().encode() + b"\xff", 11),
 }
 
 
@@ -193,7 +258,7 @@ class TestBadRestartInput:
     def test_config_error_names_path_and_line(self, tmp_path, capsys, kind):
         text, line = BAD_SNAPSHOTS[kind]
         snapshot = tmp_path / "restart.csv"
-        snapshot.write_text(text)
+        snapshot.write_bytes(text if isinstance(text, bytes) else text.encode())
         cfg = write_config(
             tmp_path,
             f"grid.cells = 8\nic.kind = file\nic.path = {snapshot}\noutput.dir = {tmp_path / 'out'}\n",

@@ -37,7 +37,6 @@ DEFAULT_CONFIG_TEXT = """\
 physics.N0 = 0.2
 physics.alpha = 0.0072973525693
 physics.a = 0.0
-physics.eps_field = 1e-08
 grid.half_width = 24000.0
 grid.cells = 2048
 solver.cfl = 0.4
@@ -45,7 +44,6 @@ solver.t_end = 1500.0
 solver.displacement_terms = on
 solver.bohm = off
 solver.nu_h = 0.0
-solver.ampere_sign_flip = off
 solver.stop_on_negative_density = off
 ic.kind = gaussian
 ic.L = 6000.0
@@ -129,7 +127,7 @@ class TestParseConfig:
     FLOAT_KEYS = [".".join(key) for key, parse in _SCHEMA.items() if parse is _parse_float]
 
     def test_float_keys_are_found(self):
-        assert len(self.FLOAT_KEYS) == 14 and "solver.t_end" in self.FLOAT_KEYS
+        assert len(self.FLOAT_KEYS) == 13 and "solver.t_end" in self.FLOAT_KEYS
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-1e400"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
@@ -158,8 +156,8 @@ class TestParseConfig:
             assert cfg.solver.bohm is value
 
     def test_scientific_notation(self):
-        cfg = parse_config("physics.eps_field = 2.5E-9\nic.epsilon = 1e-6\n")
-        assert cfg.physics.eps_field == 2.5e-9
+        cfg = parse_config("physics.a = 2.5E-9\nic.epsilon = 1e-6\n")
+        assert cfg.physics.a == 2.5e-9
 
 
 class TestFormatConfig:
@@ -170,7 +168,7 @@ class TestFormatConfig:
     def test_round_trip_with_overrides(self):
         overrides = (
             "solver.dt = 3.25\nphysics.a = 0.125\nic.kind = sine\nic.mode = 4\n"
-            "output.dir = elsewhere\nsolver.ampere_sign_flip = on\n",
+            "output.dir = elsewhere\nsolver.stop_on_negative_density = on\n",
             "ic.kind = file\nic.path = x.csv\n",  # the only optional string key
             "output.dir = out dir=1\nic.path = a b.csv\n",  # inner blanks and '=' are kept
         )

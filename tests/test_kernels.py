@@ -44,8 +44,6 @@ class TestPlasmaFrequency:
         assert params.omega_pe_sq == kernels.derived_plasma_frequency(0.2, 1 / 137) ** 2
         with pytest.raises(InvalidParameterError):
             kernels.PhysicsParams(N0=0.2, a=-0.1)
-        with pytest.raises(InvalidParameterError):
-            kernels.PhysicsParams(N0=0.2, eps_field=0.0)
 
 
 class TestPairCreationRate:
@@ -70,7 +68,7 @@ class TestPairCreationRate:
 
     def test_zero_field_and_guard(self):
         assert kernels.schwinger_rate_norm(0.0, 0.2) == 0.0
-        assert kernels.schwinger_rate_norm(5e-9, 0.2) == 0.0  # below the guard
+        assert kernels.schwinger_rate_norm(5e-9, 0.2) == 0.0
         assert kernels.schwinger_rate_norm(1e-3, 0.2) == 0.0  # exponential underflows
 
     def test_faster_than_any_power_decay(self):
@@ -122,10 +120,10 @@ class TestSIRate:
             assert abs(converted - norm) / norm < 1e-12
 
 
-def unmasked_pair_factor(E, N0, eps_field):
-    """exp(-pi/|E|)/N0 evaluated on every cell outside the eps_field guard."""
+def unmasked_pair_factor(E, N0, guard):
+    """exp(-pi/|E|)/N0 evaluated on every cell with |E| >= guard."""
     abs_e = np.abs(E)
-    weak = abs_e < eps_field
+    weak = abs_e < guard
     return np.where(weak, 0.0, np.exp(-np.pi / np.where(weak, 1.0, abs_e)) / N0)
 
 
@@ -140,35 +138,40 @@ def around(x, ulps=40, rel=1e-4):
 
 
 class TestPairFactorMask:
-    """Skipping exp where it underflows changes no bit of pair_factor."""
+    """Skipping exp where it underflows changes no bit of pair_factor.
 
-    @pytest.mark.parametrize("eps_field", [kernels.DEFAULT_EPS_FIELD, 1e-6, 1e-2])
-    def test_bytes_equal_unmasked_formula(self, eps_field):
+    The reference evaluates exp on every cell with |E| >= guard, for two
+    guards below pi/746. Both give the same bytes as the mask at pi/746, so
+    the cutoff needs no parameter.
+    """
+
+    @pytest.mark.parametrize("guard", [1e-8, 1e-6])
+    def test_bytes_equal_unmasked_formula(self, guard):
         magnitudes = np.concatenate(
             (
                 around(math.pi / 746.0),
                 around(math.pi / 745.13),
-                around(eps_field),
+                around(guard),
                 np.geomspace(math.pi / 760.0, math.pi / 700.0, 2001),  # subnormal outputs
                 np.geomspace(1e-12, 10.0, 500),
                 [0.0, 5e-324, np.inf, np.nan],
             )
         )
         E = np.concatenate((magnitudes, -magnitudes, [-0.0]))
-        want = unmasked_pair_factor(E, 0.2, eps_field)
-        assert kernels.pair_factor(E, 0.2, eps_field).tobytes() == want.tobytes()
+        want = unmasked_pair_factor(E, 0.2, guard)
+        assert kernels.pair_factor(E, 0.2).tobytes() == want.tobytes()
         out = np.full(E.shape, 7.0)
-        assert kernels.pair_factor(E, 0.2, eps_field, out=out) is out
+        assert kernels.pair_factor(E, 0.2, out=out) is out
         assert out.tobytes() == want.tobytes()
         for value in E[:: len(E) // 37]:
-            got = kernels.pair_factor(value, 0.2, eps_field)
-            assert got.tobytes() == unmasked_pair_factor(value, 0.2, eps_field).tobytes()
+            got = kernels.pair_factor(value, 0.2)
+            assert got.tobytes() == unmasked_pair_factor(value, 0.2, guard).tobytes()
 
     def test_inputs_reach_subnormal_and_zero_outputs(self):
         # the band above the mask edge produces subnormals, so the comparison
         # above covers exp's underflow range, not only ordinary values
         E = np.geomspace(math.pi / 760.0, math.pi / 700.0, 2001)
-        phi = kernels.pair_factor(E, 0.2, kernels.DEFAULT_EPS_FIELD)
+        phi = kernels.pair_factor(E, 0.2)
         tiny = np.finfo(np.float64).tiny
         assert np.any((phi > 0.0) & (phi < tiny))
         assert np.any((phi == 0.0) & (E >= kernels.UNDERFLOW_FIELD))

@@ -86,11 +86,27 @@ class TestRhs:
         assert np.all(dn_e == dn_p)
 
     def test_ampere_sign_flip(self):
-        grid = Grid1D(half_width=100.0, cells=64)
-        state = uniform_state(grid, e_field=0.5, n_e=1.0, n_p=1.0)
-        dE_minus = rhs(state, PARAMS, SolverOptions(t_end=1.0))[0]
-        dE_plus = rhs(state, PARAMS, SolverOptions(t_end=1.0, ampere_sign_flip=True))[0]
-        assert np.array_equal(dE_plus, -dE_minus)
+        # The displacement sign in dE/dt is the solver's only one, and not a
+        # free choice: the opposite sign, kept here in the reference, breaks
+        # the stencil charge identity and makes pair creation add field
+        # energy instead of drawing it from the field.
+        opts = SolverOptions(t_end=1.0)
+        grid = Grid1D(half_width=24000.0, cells=512)
+        state = random_smooth_state(grid, np.random.default_rng(97))
+        assert np.array_equal(rhs(state, PARAMS, opts), np.array(reference_rhs(state, PARAMS, opts)))
+        for sign, holds in ((-1.0, True), (1.0, False)):
+            dE, dn_e, dn_p, _, _ = reference_rhs(state, PARAMS, opts, sign=sign)
+            lhs = ddx(dE, grid.dx)
+            rhs_side = PARAMS.omega_pe_sq * (dn_p - dn_e)
+            scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs_side)))
+            assert (np.max(np.abs(lhs - rhs_side)) <= 1e-13 * scale) == holds
+        # a uniform field over a plasma at rest: pairs are created, and the
+        # field energy E^2/(2 w2) changes at the rate integral(E dE/dt)/w2
+        uniform = uniform_state(Grid1D(half_width=100.0, cells=64), e_field=0.5, n_e=1.0, n_p=1.0)
+        for sign in (-1.0, 1.0):
+            dE, dn_e, dn_p, _, _ = reference_rhs(uniform, PARAMS, opts, sign=sign)
+            assert np.all(dn_e > 0.0) and np.all(dn_p > 0.0)
+            assert np.sign(np.sum(uniform.E * dE)) == sign
 
     def test_recombination_terms(self):
         grid = Grid1D(half_width=100.0, cells=64)
@@ -142,6 +158,41 @@ class TestRhs:
         assert excinfo.value.cell == 7
 
 
+# The model's terms, off and on, each with the (cfl, steps) of its Gauss-law
+# run (M = 256) and of its mirror run (M = 128). The long runs reach t = 3750
+# at cfl 0.4, into the default model's strongly nonlinear regime. The short
+# ones take cfl 0.1 and stop at t = 1200 and t = 450: with the Bohm term or
+# recombination a density reaches zero at the caustic (t = 1350 at M = 256,
+# t = 600 at M = 128), nu_h = 2e-3 breaks RK4's stability bound at cfl 0.4
+# and M = 128, and without the displacement terms the mirror run's field
+# overflows at t = 3225.
+LONG_GAUSS, SHORT_GAUSS = (0.4, 50), (0.1, 64)
+LONG_MIRROR, SHORT_MIRROR = (0.4, 25), (0.1, 12)
+INVARIANT_CONFIGS = {
+    "default": (PARAMS, SolverOptions(t_end=1.0), LONG_GAUSS, LONG_MIRROR),
+    "displacement_off": (
+        PARAMS,
+        SolverOptions(t_end=1.0, displacement_terms=False),
+        LONG_GAUSS,
+        SHORT_MIRROR,
+    ),
+    "bohm": (PARAMS, SolverOptions(t_end=1.0, bohm=True), SHORT_GAUSS, SHORT_MIRROR),
+    "recombination": (
+        dataclasses.replace(PARAMS, a=1e-4),
+        SolverOptions(t_end=1.0),
+        SHORT_GAUSS,
+        SHORT_MIRROR,
+    ),
+    "hyperdiffusion": (PARAMS, SolverOptions(t_end=1.0, nu_h=2e-3), LONG_GAUSS, SHORT_MIRROR),
+    "all_on": (
+        dataclasses.replace(PARAMS, a=1e-4),
+        SolverOptions(t_end=1.0, bohm=True, nu_h=2e-3),
+        SHORT_GAUSS,
+        SHORT_MIRROR,
+    ),
+}
+
+
 class TestChargeConservationIdentity:
     def test_stencil_exact_on_random_states(self):
         rng = np.random.default_rng(97)
@@ -156,22 +207,23 @@ class TestChargeConservationIdentity:
             assert np.max(np.abs(lhs - rhs_side)) <= 1e-13 * scale
 
     def test_gauss_residual_is_time_invariant(self):
-        # the constraint is a linear invariant of the semi-discrete system,
-        # so RK4 preserves it to rounding over many steps
+        # the constraint is a linear invariant of the semi-discrete system in
+        # every configuration, so RK4 preserves it to rounding over many
+        # steps
         grid = Grid1D(half_width=24000.0, cells=256)
-        state = initial_condition(InitialCondition(), grid, PARAMS)
-        opts = SolverOptions(t_end=1.0)
-        dt = 0.4 * grid.dx
+        for name, (params, opts, (cfl, steps), _) in INVARIANT_CONFIGS.items():
+            state = initial_condition(InitialCondition(), grid, params)
+            dt = cfl * grid.dx
 
-        def residual(st):
-            return np.max(
-                np.abs(ddx(st.E, grid.dx) - PARAMS.omega_pe_sq * (1.0 - st.n_e + st.n_p))
-            )
+            def residual(st):
+                return np.max(
+                    np.abs(ddx(st.E, grid.dx) - params.omega_pe_sq * (1.0 - st.n_e + st.n_p))
+                )
 
-        assert residual(state) < 1e-12
-        for _ in range(50):
-            state = rk4_step(state, dt, PARAMS, opts)
-        assert residual(state) < 1e-10
+            assert residual(state) < 1e-12, name
+            for _ in range(steps):
+                state = rk4_step(state, dt, params, opts)
+            assert residual(state) < 1e-10, name
 
 
 class TestRk4Step:
@@ -336,7 +388,7 @@ class TestRk4Step:
 
     @pytest.mark.parametrize("bohm", [False, True], ids=["bohm_off", "bohm_on"])
     def test_hyperdiffusion_calls_per_rhs(self, monkeypatch, bohm):
-        # one call damps both densities and both momenta
+        # one call damps all five fields
         calls = []
 
         def counted(f, nu_h, *args, **kwargs):
@@ -347,12 +399,10 @@ class TestRk4Step:
         grid = Grid1D(half_width=24000.0, cells=64)
         state = random_smooth_state(grid, np.random.default_rng(2))
         rhs(state, PARAMS, SolverOptions(t_end=1.0, bohm=bohm, nu_h=0.01))
-        assert calls == [(4, grid.cells + 4)]
+        assert calls == [(5, grid.cells + 4)]
 
     def test_mirror_equivariance_is_bit_exact(self):
-        rng = np.random.default_rng(5)
         grid = Grid1D(half_width=24000.0, cells=128)
-        state = random_smooth_state(grid, rng)
 
         def mirrored(s):
             return SimState.from_fields(
@@ -365,15 +415,16 @@ class TestRk4Step:
                 -s.p_p[::-1].copy(),
             )
 
-        opts = SolverOptions(t_end=1.0)
-        dt = 0.4 * grid.dx
-        a, b = state.copy(), mirrored(state)
-        for _ in range(25):
-            a = rk4_step(a, dt, PARAMS, opts)
-            b = rk4_step(b, dt, PARAMS, opts)
-        expected = mirrored(a)
-        for name in ("E", "n_e", "n_p", "p_e", "p_p"):
-            assert np.array_equal(getattr(expected, name), getattr(b, name))
+        for config, (params, opts, _, (cfl, steps)) in INVARIANT_CONFIGS.items():
+            state = random_smooth_state(grid, np.random.default_rng(5))
+            dt = cfl * grid.dx
+            a, b = state.copy(), mirrored(state)
+            for _ in range(steps):
+                a = rk4_step(a, dt, params, opts)
+                b = rk4_step(b, dt, params, opts)
+            expected = mirrored(a)
+            for name in ("E", "n_e", "n_p", "p_e", "p_p"):
+                assert np.array_equal(getattr(expected, name), getattr(b, name)), (config, name)
 
 
 class TestInitialCondition:
@@ -489,18 +540,21 @@ class TestRun:
 
 
 def reference_pair_factor(E, params):
+    # guarded at 1e-8, not at pi/746 where the solver's mask is: any guard
+    # below pi/746 gives the same bytes (see test_kernels.TestPairFactorMask)
     abs_e = np.abs(E)
-    weak = abs_e < params.eps_field
+    weak = abs_e < 1e-8
     return np.where(weak, 0.0, np.exp(-np.pi / np.where(weak, 1.0, abs_e)) / params.N0)
 
 
-def reference_rhs(s, params, opts, fold=True):
+def reference_rhs(s, params, opts, fold=True, sign=-1.0):
     """The allocating right-hand side, one new array per operation.
 
     With `fold` (the solver's form) each equation takes one stencil: of
     flux_e - D_e, flux_p + D_p and g_s - Q_s/2, Q_s the Bohm potential.
     Without it each piece is differentiated on its own, as the solver did
-    before; the two forms differ only by rounding.
+    before; the two forms differ only by rounding. `sign` is the sign of the
+    displacement term in dE/dt; the solver's is -1.
     """
     dx = s.grid.dx
     gamma_e = np.sqrt(1.0 + s.p_e * s.p_e)
@@ -517,7 +571,6 @@ def reference_rhs(s, params, opts, fold=True):
         e_phi = s.E * phi
         disp_e = gamma_e * e_phi
         disp_p = gamma_p * e_phi
-        sign = 1.0 if opts.ampere_sign_flip else -1.0
         current = current + sign * (disp_e + disp_p)
         if fold:
             dn_e = q0 - roll_ddx(flux_e - disp_e, dx)
@@ -546,12 +599,15 @@ def reference_rhs(s, params, opts, fold=True):
     if opts.bohm and not fold:
         dp_e = dp_e + 0.5 * roll_ddx(bohm_e, dx)
         dp_p = dp_p + 0.5 * roll_ddx(bohm_p, dx)
+    dE = params.omega_pe_sq * current
     if opts.nu_h != 0.0:
+        # E is damped like the other fields, which keeps the Gauss law invariant
+        dE = dE + roll_hyperdiffusion(s.E, opts.nu_h)
         dn_e = dn_e + roll_hyperdiffusion(s.n_e, opts.nu_h)
         dn_p = dn_p + roll_hyperdiffusion(s.n_p, opts.nu_h)
         dp_e = dp_e + roll_hyperdiffusion(s.p_e, opts.nu_h)
         dp_p = dp_p + roll_hyperdiffusion(s.p_p, opts.nu_h)
-    return params.omega_pe_sq * current, dn_e, dn_p, dp_e, dp_p
+    return dE, dn_e, dn_p, dp_e, dp_p
 
 
 def reference_step(s, dt, params, opts, fold=True):
@@ -612,7 +668,6 @@ class TestWorkspaceReference:
     CONFIGS = {
         "default": (PARAMS, SolverOptions(t_end=1500.0)),
         "displacement_off": (PARAMS, SolverOptions(t_end=1500.0, displacement_terms=False)),
-        "sign_flip": (PARAMS, SolverOptions(t_end=1500.0, ampere_sign_flip=True)),
         # cfl 0.05 keeps the nu_h = 0.01 damping inside RK4's stability region at M = 256
         "bohm_recombination_hyperdiffusion": (
             PhysicsParams(N0=0.2, alpha=1.0 / 137.0, a=1e-4),
@@ -704,9 +759,9 @@ class TestWorkspaceMemory:
         own = [work.pad, work.root, work.phi, work.scratch, work.tmp, *work.k, work.stage]
         own += [work.spare, work.spare_tmp]
         assert [a.shape for a in own] == (
-            [(4, cells + 4), (2, cells + 4), (cells,), (cells,), (4, cells)]
-            + [(5, cells)] * 4
-            + [(4, cells + 4), (4, cells)]
+            [(4, cells + 4), (2, cells + 4), (cells,), (cells,)]
+            + [(5, cells)] * 5
+            + [(5, cells + 4), (5, cells)]
         )
         assert len(buffers) == len(own) + 1 and np.shares_memory(work.gamma, work.pad)
         for i, a in enumerate(own):
