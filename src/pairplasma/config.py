@@ -9,8 +9,8 @@ Grammar (one assignment per line):
 Unknown keys, duplicate keys, malformed lines and out-of-range values are
 rejected with the offending line number. Floats accept decimal or scientific
 notation (locale-independent) and must be finite (inf and nan are bad
-values); booleans accept on/off, true/false, yes/no, 1/0. `solver.dt` and
-`solver.cfl` are mutually exclusive.
+values); booleans accept on/off, true/false, yes/no, 1/0. `solver.cfl` is
+the only step control: the step is at most cfl*dx (`solver._plan_steps`).
 
 Each section is a field of `RunConfig`; its keys, their types and their
 defaults are the init fields of that field's dataclass, and the parser reads
@@ -18,7 +18,7 @@ them from there (`_SCHEMA`). Summary:
 
     physics: N0=0.2  alpha=7.2973525693e-3  a=0.0
     grid:    half_width=24000.0  cells=2048
-    solver:  cfl=0.4 (or dt)  t_end=1500.0  displacement_terms=on
+    solver:  cfl=0.4  t_end=1500.0  displacement_terms=on
              bohm=off  nu_h=0.0  stop_on_negative_density=off
     ic:      kind=gaussian  L=6000.0  base_e=1.01  base_p=0.01
              amplitude=2.0  epsilon=1e-6  mode=2  path=

@@ -135,16 +135,17 @@ def write_snapshots(snapshots, outdir) -> list:
 
 
 def read_snapshot(path):
-    """Read a snapshot CSV back as (t, dict of column arrays).
+    """Read a snapshot CSV that `write_snapshot` wrote, as (t, dict of column arrays).
 
-    Raises ConfigError, naming the path and the line, when a row is not
-    numeric or does not match the header, when a value of one of
-    SNAPSHOT_COLUMNS is not finite, when the header lacks one of them or
-    names a column twice, or when a line is not UTF-8 text, and naming the
-    path when the file holds no data row.
+    Raises ConfigError, naming the path and the line, when the header is not
+    SNAPSHOT_COLUMNS in that order, when a row is not numeric or does not
+    have one value per column, when a value is not finite, or when a line is
+    not UTF-8 text, and naming the path when the file holds no data row.
     """
     t = 0.0
-    names = None
+    header = ",".join(SNAPSHOT_COLUMNS)
+    seen_header = False
+    width = len(SNAPSHOT_COLUMNS)
     values = []  # every data row, end to end
     linenos = []
     with open(path, "rb") as fh:
@@ -156,34 +157,29 @@ def read_snapshot(path):
                 if line.startswith("#"):
                     _, _, value = line.partition("=")
                     t = float(value)
-                elif names is None:
-                    names = tuple(s.strip() for s in line.split(","))
-                    missing = [c for c in SNAPSHOT_COLUMNS if c not in names]
-                    if missing:
-                        raise ValueError(f"header lacks column(s) {', '.join(missing)}")
-                    twice = sorted({c for c in names if names.count(c) > 1})
-                    if twice:
-                        raise ValueError(f"header names column(s) {', '.join(twice)} twice")
+                elif not seen_header:
+                    if line != header:
+                        raise ValueError(f"header is not {header}")
+                    seen_header = True
                 else:
                     row = line.split(",")
                     values.extend(map(float, row))
-                    if len(row) != len(names):
-                        raise ValueError(f"{len(row)} values, the header has {len(names)} columns")
+                    if len(row) != width:
+                        raise ValueError(f"{len(row)} values, the header has {width} columns")
                     linenos.append(lineno)
             except ValueError as err:
                 raise ConfigError(f"snapshot {path}, line {lineno}: {err}") from None
     if not linenos:
         raise ConfigError(f"snapshot {path} contains no data rows")
-    data = np.array(values, dtype=np.float64).reshape(len(linenos), len(names))
-    used = [names.index(c) for c in SNAPSHOT_COLUMNS]
-    bad = ~np.isfinite(data[:, used])
+    data = np.array(values, dtype=np.float64).reshape(len(linenos), width)
+    bad = ~np.isfinite(data)
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise ConfigError(
             f"snapshot {path}, line {linenos[row]}: "
-            f"{SNAPSHOT_COLUMNS[col]} = {float(data[row, used[col]])!r} is not finite"
+            f"{SNAPSHOT_COLUMNS[col]} = {float(data[row, col])!r} is not finite"
         )
-    return t, {name: data[:, i].copy() for i, name in enumerate(names)}
+    return t, {name: data[:, i].copy() for i, name in enumerate(SNAPSHOT_COLUMNS)}
 
 
 _HASH_BLOCK = 64 * 1024

@@ -111,7 +111,7 @@ def measure_langmuir_period(
     omega_theory = math.sqrt(params.omega_pe_sq * (BASE_E + BASE_P))
     n_steps = int(round(n_periods * 2.0 * math.pi / omega_theory / dt))
     omega_measured = _measure_mode_frequency(
-        grid, mode, dt, n_steps, params, SolverOptions(dt=dt, t_end=0.0)
+        grid, mode, dt, n_steps, params, SolverOptions(t_end=0.0)
     )
     return 2.0 * math.pi / omega_measured, 2.0 * math.pi / omega_theory
 
@@ -144,7 +144,7 @@ def measure_bohm_dispersion(
     continuum = math.sqrt(plasma + k**4 / 4.0)
     dt = cfl * dx
     n_steps = int(round(n_periods * 2.0 * math.pi / discrete / dt))
-    opts = SolverOptions(dt=dt, t_end=0.0, bohm=True)
+    opts = SolverOptions(t_end=0.0, bohm=True)
     return _measure_mode_frequency(grid, mode, dt, n_steps, params, opts), discrete, continuum
 
 
@@ -159,7 +159,7 @@ def measure_recombination_error(dt: float = 25.0, t_end: float = 2000.0) -> floa
     grid = Grid1D(half_width=2000.0, cells=16)
     state = initial_condition(InitialCondition(kind="uniform"), grid, params)
     n_p0 = float(state.n_p[0])
-    opts = SolverOptions(dt=dt, t_end=t_end)
+    opts = SolverOptions(t_end=t_end)
     work = Workspace(grid.cells)
     for _ in range(round(t_end / dt)):
         state = rk4_step(state, dt, params, opts, work)

@@ -184,12 +184,11 @@ class SimState:
 class SolverOptions:
     """Time integration and model-term switches.
 
-    Exactly one of dt (explicit step) or cfl (step = cfl*dx) may be given;
-    with neither, cfl defaults to 0.4.
+    A run's step is at most cfl*dx (see `_plan_steps`); `rk4_step` takes its
+    dt from the caller and reads no step from here.
     """
 
-    dt: Optional[float] = None
-    cfl: Optional[float] = None
+    cfl: float = 0.4
     t_end: float = 1500.0
     displacement_terms: bool = True
     bohm: bool = False
@@ -197,23 +196,12 @@ class SolverOptions:
     stop_on_negative_density: bool = False
 
     def __post_init__(self):
-        if self.dt is not None and self.cfl is not None:
-            raise InvalidParameterError(
-                "solver.dt and solver.cfl are mutually exclusive; set only one"
-            )
-        if self.dt is None and self.cfl is None:
-            self.cfl = 0.4
-        if self.dt is not None and not (self.dt > 0.0):
-            raise InvalidParameterError(f"dt must be positive, got {self.dt}")
-        if self.cfl is not None and not (0.0 < self.cfl <= CFL_MAX):
+        if not (0.0 < self.cfl <= CFL_MAX):
             raise InvalidParameterError(f"cfl must be in (0, {CFL_MAX}], got {self.cfl}")
         if not (self.t_end >= 0.0):
             raise InvalidParameterError(f"t_end must be >= 0, got {self.t_end}")
         if not (self.nu_h >= 0.0):
             raise InvalidParameterError(f"nu_h must be >= 0, got {self.nu_h}")
-
-    def step_size(self, dx: float) -> float:
-        return self.dt if self.dt is not None else self.cfl * dx
 
 
 def check_config_path(key: str, path: str):
@@ -237,9 +225,10 @@ class InitialCondition:
 
     Momenta start at zero unless the file provides them; E always comes from
     the Gauss-law solve so the state starts constraint-consistent. A
-    snapshot must have the grid's cell count and its x column the grid's
-    cell centres (else the run stops with a configuration error), and a
-    restart runs from t = 0: the snapshot's own time is not carried over.
+    Gaussian's L must be at least one cell, and a snapshot must have the
+    grid's cell count and its x column the grid's cell centres (else the run
+    stops with a configuration error). A restart runs from t = 0: the
+    snapshot's own time is not carried over.
     """
 
     kind: str = "gaussian"
@@ -503,6 +492,12 @@ def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams)
     p_e = np.zeros(grid.cells)
     p_p = np.zeros(grid.cells)
     if ic.kind == "gaussian":
+        if ic.L < grid.dx:
+            # (x/L)^2 would overflow and leave a uniform plasma
+            raise ConfigError(
+                f"ic.L = {ic.L!r} is narrower than one cell (grid dx = {grid.dx!r}); "
+                "the Gaussian is not resolved"
+            )
         u = x / ic.L
         n_e = ic.base_e + ic.amplitude * u * np.exp(-u * u)
         n_p = np.full(grid.cells, ic.base_p)
@@ -545,10 +540,10 @@ def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams)
 def _plan_steps(opts: SolverOptions, dx: float):
     """Step count and step so the loop lands on t_end.
 
-    The requested step (dt, or cfl*dx) shrinks to t_end / n_steps, the even
-    division of t_end that comes closest to it without exceeding it.
+    The step cfl*dx shrinks to t_end / n_steps, with n_steps the fewest
+    steps of at most cfl*dx that reach t_end.
     """
-    dt = opts.step_size(dx)
+    dt = opts.cfl * dx
     if opts.t_end == 0.0:
         return 0, dt
     n_steps = max(1, math.ceil(opts.t_end / dt * (1.0 - 1e-12)))

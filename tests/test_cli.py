@@ -65,9 +65,12 @@ class TestRunCommand:
         assert err.count("\n") == 1 and err.startswith("configuration error: line 2:")
         assert not (tmp_path / "out").exists()
 
-    # both keys were removed: the pair factor's cutoff is where exp underflows,
-    # and dE/dt has the one displacement sign that keeps the Gauss law
-    @pytest.mark.parametrize("line", ["physics.eps_field = 1e-8", "solver.ampere_sign_flip = on"])
+    # these keys were removed: the pair factor's cutoff is where exp underflows,
+    # dE/dt has the one displacement sign that keeps the Gauss law, and every
+    # step an explicit dt could set is some solver.cfl*dx
+    @pytest.mark.parametrize(
+        "line", ["physics.eps_field = 1e-8", "solver.ampere_sign_flip = on", "solver.dt = 9.375"]
+    )
     def test_removed_key_is_unknown(self, tmp_path, capsys, line):
         cfg = write_config(tmp_path, f"grid.cells = 64\n{line}\noutput.dir = {tmp_path / 'out'}\n")
         assert cli_main(["run", cfg]) == 1
@@ -117,16 +120,21 @@ class TestRunCommand:
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == message
 
-    def test_unresolved_gaussian_keeps_numpy_warning(self, tmp_path):
-        # (x/L)^2 overflows and the run solves a uniform plasma; no check
-        # catches that, so numpy's warning is the only sign and stays
+    def test_unresolved_gaussian_is_config_error(self, tmp_path, capsys):
+        # unchecked, (x/L)^2 overflows and the run solves a uniform plasma,
+        # with numpy's overflow warning as the only sign
         cfg = write_config(
             tmp_path, f"grid.cells = 64\nic.L = 1e-300\noutput.dir = {tmp_path / 'out'}\n"
         )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert cli_main(["run", cfg]) == 0
-        assert [str(w.message) for w in caught] == ["overflow encountered in multiply"]
+            assert cli_main(["run", cfg]) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "configuration error: ic.L = 1e-300 is narrower than one cell "
+            "(grid dx = 750.0); the Gaussian is not resolved\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert cli_main(["run", str(tmp_path / "absent.cfg")]) == 3
@@ -247,8 +255,10 @@ BAD_SNAPSHOTS = {
     "inf_density": (restart_text(row=2, column="n_p", value="inf"), 5),
     "nan_momentum": (restart_text(row=7, column="p_e", value="NaN"), 10),
     "inf_momentum": (restart_text(row=3, column="p_p", value="-inf"), 6),
-    # else the last n_e column would silently win
+    # a restart reads only the layout that write_snapshot writes
     "duplicate_column": (restart_text(extra="n_e"), 2),
+    "extra_column": (restart_text(extra="rho"), 2),
+    "reordered_columns": (restart_text().replace("p_e,p_p", "p_p,p_e", 1), 2),
     "non_utf8": (restart_text().encode() + b"\xff", 11),
 }
 

@@ -66,7 +66,6 @@ class TestParseConfig:
         assert cfg.grid.half_width == 24000.0
         assert cfg.grid.cells == 2048
         assert cfg.solver.cfl == 0.4
-        assert cfg.solver.dt is None
         assert cfg.solver.t_end == 1500.0
         assert cfg.solver.displacement_terms is True
         assert cfg.solver.nu_h == 0.0
@@ -96,15 +95,6 @@ class TestParseConfig:
         assert cfg.solver.displacement_terms is False
         assert cfg.grid.half_width == 24000.0  # untouched default
 
-    def test_dt_cfl_conflict(self):
-        with pytest.raises(ConfigError, match="mutually exclusive"):
-            parse_config("solver.dt = 1.0\nsolver.cfl = 0.4\n")
-
-    def test_dt_alone_accepted(self):
-        cfg = parse_config("solver.dt = 2.5\n")
-        assert cfg.solver.dt == 2.5
-        assert cfg.solver.cfl is None
-
     def test_unknown_key_rejected_with_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("physics.N0 = 0.2\nphysics.banana = 1\n")
@@ -127,7 +117,7 @@ class TestParseConfig:
     FLOAT_KEYS = [".".join(key) for key, parse in _SCHEMA.items() if parse is _parse_float]
 
     def test_float_keys_are_found(self):
-        assert len(self.FLOAT_KEYS) == 13 and "solver.t_end" in self.FLOAT_KEYS
+        assert len(self.FLOAT_KEYS) == 12 and "solver.t_end" in self.FLOAT_KEYS
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-1e400"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
@@ -167,7 +157,7 @@ class TestFormatConfig:
 
     def test_round_trip_with_overrides(self):
         overrides = (
-            "solver.dt = 3.25\nphysics.a = 0.125\nic.kind = sine\nic.mode = 4\n"
+            "solver.cfl = 0.25\nphysics.a = 0.125\nic.kind = sine\nic.mode = 4\n"
             "output.dir = elsewhere\nsolver.stop_on_negative_density = on\n",
             "ic.kind = file\nic.path = x.csv\n",  # the only optional string key
             "output.dir = out dir=1\nic.path = a b.csv\n",  # inner blanks and '=' are kept
@@ -176,8 +166,7 @@ class TestFormatConfig:
             cfg = parse_config(override)
             assert parse_config(format_config(cfg)) == cfg
         text = format_config(parse_config(overrides[0]))
-        assert "solver.dt = 3.25" in text
-        assert "solver.cfl" not in text
+        assert "solver.cfl = 0.25" in text
 
     # '#' starts a comment, a line break ends the line and outer blanks are
     # stripped: output.dir = 'a#b' would re-parse as 'a', so the manifest

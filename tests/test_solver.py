@@ -259,7 +259,7 @@ class TestRk4Step:
             assert dt <= 0.5 * grid.dx
             state = initial_condition(InitialCondition(kind="sine", epsilon=1e-6, mode=2), grid, PARAMS)
             start = state.E.copy()
-            opts = SolverOptions(dt=dt, t_end=period)
+            opts = SolverOptions(t_end=period)
             for _ in range(n_steps):
                 state = rk4_step(state, dt, PARAMS, opts)
             errors.append(np.linalg.norm(state.E - start) / np.linalg.norm(start))
@@ -452,17 +452,14 @@ class TestInitialCondition:
 
 
 class TestSolverOptions:
-    def test_exclusive_step_controls(self):
-        with pytest.raises(InvalidParameterError):
-            SolverOptions(dt=1.0, cfl=0.4)
+    def test_cfl_default_and_bound(self):
         assert SolverOptions().cfl == 0.4
-        assert SolverOptions(dt=2.0).dt == 2.0
+        assert SolverOptions(cfl=sv.CFL_MAX).cfl == 0.5
+        for cfl in (0.0, -0.1, 0.5000001, 0.7):
+            with pytest.raises(InvalidParameterError, match="cfl must be in"):
+                SolverOptions(cfl=cfl)
 
     def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            SolverOptions(dt=-1.0)
-        with pytest.raises(InvalidParameterError):
-            SolverOptions(cfl=0.7)
         with pytest.raises(InvalidParameterError):
             SolverOptions(t_end=-5.0)
         with pytest.raises(InvalidParameterError):
@@ -474,7 +471,8 @@ class TestSolverOptions:
         assert (n, dt) == (160, 9.375)
         n, dt = sv._plan_steps(SolverOptions(t_end=0.0), grid.dx)
         assert n == 0
-        n, dt = sv._plan_steps(SolverOptions(dt=7.0, t_end=21.0), grid.dx)
+        # cfl*dx = 9.375 shrinks to 21 / 3
+        n, dt = sv._plan_steps(SolverOptions(cfl=0.4, t_end=21.0), grid.dx)
         assert (n, dt) == (3, 7.0)
 
 
@@ -522,11 +520,11 @@ class TestRun:
         assert len(excinfo.value.records) > 10
         assert excinfo.value.records[0].t == 0.0
 
-    def test_explicit_dt_lands_on_t_end(self):
-        # 250 / 100 is not whole: the step shrinks to 250 / 3 rather than a
-        # fourth step of 100 ending at t = 300
+    def test_step_lands_on_t_end(self):
+        # dx = 750, so cfl*dx = 100 and 250 / 100 is not whole: the step
+        # shrinks to 250 / 3 rather than a fourth step of 100 ending at t = 300
         config = _MiniConfig(
-            grid=Grid1D(half_width=24000.0, cells=64), solver=SolverOptions(dt=100.0, t_end=250.0)
+            grid=Grid1D(half_width=24000.0, cells=64), solver=SolverOptions(cfl=0.4 / 3, t_end=250.0)
         )
         result = run(config)
         assert [rec.t for rec in result.records[1:]] == [250.0 / 3, 500.0 / 3, 250.0]
@@ -818,7 +816,7 @@ class TestWorkspaceMemory:
         # took 6).
         cells = 8192
         grid = Grid1D(half_width=24000.0, cells=cells)
-        config = _MiniConfig(grid=grid, solver=SolverOptions(dt=0.4 * grid.dx, t_end=20 * 0.4 * grid.dx))
+        config = _MiniConfig(grid=grid, solver=SolverOptions(t_end=20 * 0.4 * grid.dx))
         marks, record_marks = [], []
 
         def measured(*args, **kwargs):
@@ -941,10 +939,11 @@ class TestRecombinationClosedForm:
 
     @staticmethod
     def relative_error(dt):
+        # dx = 250, and cfl = dt / 250 (0.2, 0.1, 0.05) steps exactly dt
         a, n_p0 = 1e-3, 0.01
         config = parse_config(
             "ic.kind = uniform\nphysics.a = 1e-3\ngrid.cells = 16\n"
-            f"grid.half_width = 2000\nsolver.t_end = 2000\nsolver.dt = {dt!r}\n"
+            f"grid.half_width = 2000\nsolver.t_end = 2000\nsolver.cfl = {dt / 250.0!r}\n"
         )
         result = run(config)
         state = result.state
@@ -1024,3 +1023,88 @@ class TestPreCausticConvergence:
             errors.append(abs(delta_pairs - self.REFERENCE) / self.REFERENCE)
             assert errors[-1] <= 2.0 * measured
         assert errors[0] > errors[1] > errors[2]
+
+
+def spectral_ddx(f, length, order=1):
+    """order-th derivative of periodic samples f by FFT; the Nyquist mode is dropped."""
+    m = f.shape[-1]
+    ik = 2j * np.pi * np.arange(m // 2 + 1) / length
+    ik[-1] = 0.0
+    return np.fft.irfft(ik**order * np.fft.rfft(f), n=m)
+
+
+def spectral_rhs(s, params):
+    """The equations of the `solver` module docstring, with FFT derivatives.
+
+    Every term is on: pair creation with its displacement flux, the Bohm
+    potential and recombination; hyperdiffusion, a grid term, is not part of
+    the equations. Uses no stencil or kernel of the package.
+    """
+    E, n, p = s.u[0], s.u[1:3], s.u[3:5]
+    length = s.grid.length
+    g = np.sqrt(1.0 + p * p)
+    abs_e = np.abs(E)
+    with np.errstate(divide="ignore"):
+        phi = np.where(abs_e > 0.0, np.exp(-np.pi / abs_e), 0.0) / params.N0
+    q0 = E * E * phi
+    D = g * (E * phi)  # g_s q0 / E
+    F = n * p / g + np.array([-D[0], D[1]])
+    r = np.sqrt(n / g)
+    Q = spectral_ddx(r, length, order=2) / r
+    loss = params.a * n[0] * n[1]
+    drag = -params.a * n[::-1] * (p - p[::-1])
+    dE = params.omega_pe_sq * (F[0] - F[1])
+    dn = -spectral_ddx(F, length) + q0 - loss
+    dp = -spectral_ddx(g - 0.5 * Q, length) + np.array([-E, E]) + drag
+    return np.vstack((dE, dn, dp))
+
+
+class TestSpectralReference:
+    """The full nonlinear `rhs` against `spectral_rhs` on one smooth state.
+
+    The state is band-limited, with every term on and relativistic momenta,
+    so the FFT derivatives are exact to rounding except through gamma and
+    the Bohm root, whose spectra decay exponentially. The stencils are fourth
+    order, so each doubling of M shrinks the error of every differentiated
+    row by about 2^4 = 16; a wrong factor or sign of one term leaves an O(1)
+    error that does not converge. dE takes no stencil: with nu_h = 0 it must
+    agree to rounding, and with nu_h > 0 its fourth-difference damping is
+    O(dx^4) on this state and converges like the other rows.
+    """
+
+    PARAMS = PhysicsParams(N0=0.2, a=0.3)
+    CELLS = (32, 64, 128, 256, 512)
+
+    @staticmethod
+    def state(cells):
+        grid = Grid1D(half_width=20.0, cells=cells)
+        theta = np.pi * grid.x / grid.half_width
+        return SimState.from_fields(
+            grid,
+            0.0,
+            0.6 * np.sin(theta) + 0.2 * np.cos(2.0 * theta),
+            1.0 + 0.3 * np.cos(theta),
+            0.5 + 0.2 * np.sin(2.0 * theta),
+            1.2 * np.sin(theta) + 0.3 * np.cos(3.0 * theta),
+            -0.6 * np.cos(theta) + 0.2 * np.sin(2.0 * theta),
+        )
+
+    def errors(self, nu_h):
+        """Largest error of each row per M, and the largest |dE| of the finest state."""
+        opts = SolverOptions(t_end=1.0, bohm=True, nu_h=nu_h)
+        errors = []
+        for cells in self.CELLS:
+            s = self.state(cells)
+            want = spectral_rhs(s, self.PARAMS)
+            errors.append(np.max(np.abs(rhs(s, self.PARAMS, opts) - want), axis=1))
+        return np.array(errors), np.max(np.abs(want[0]))
+
+    @pytest.mark.parametrize("nu_h", [0.0, 1e-3])
+    def test_rhs_converges_at_fourth_order(self, nu_h):
+        errors, largest_de = self.errors(nu_h)
+        ratios = errors[-2] / errors[-1]  # M = 256 against 512
+        assert np.all(ratios[1:] >= 14.0), ratios
+        if nu_h == 0.0:
+            assert np.all(errors[:, 0] <= 1e-14 * largest_de), errors[:, 0]
+        else:
+            assert ratios[0] >= 14.0, ratios
