@@ -98,10 +98,10 @@ def energy_balance_rhs(state, params: PhysicsParams, work=None) -> float:
 def make_record(state, params: PhysicsParams, initial_n_e: float, work=None) -> SeriesRecord:
     """One series row for `state`.
 
-    `work` is a solver Workspace primed for `state`: its gamma and
-    phi = exp(-pi/|E|)/N0 are used, and its free buffers (pad rows 0-1,
-    scratch and tmp) hold the temporaries, so the record allocates no array
-    of M values. Without it gamma and phi are computed here into new
+    `work` is a solver Workspace, primed here for `state` unless it is: its
+    gamma and phi = exp(-pi/|E|)/N0 are used, and its free buffers (pad rows
+    0-1, scratch and tmp) hold the temporaries, so the record allocates no
+    array of M values. Without it gamma and phi are computed here into new
     arrays. Both forms run the same operations in the same order, so their
     records are identical. Sums and maxima call `np.add.reduce` and
     `np.maximum.reduce`, the reductions `np.sum` and `np.max` wrap.
@@ -111,6 +111,8 @@ def make_record(state, params: PhysicsParams, initial_n_e: float, work=None) -> 
         gamma = lorentz_gamma(state.p)
         buf, pair = np.empty(state.grid.cells), np.empty(gamma.shape)
     else:
+        if work.primed is not state:
+            work.prime(state, params)
         gamma, buf, pair = work.gamma, work.scratch, work.tmp[:2]
     # one pairwise sum per row, the same sums as integrate() of each row
     kin_e, kin_p = (dx * np.add.reduce(np.multiply(state.n, gamma, out=pair), axis=1)).tolist()

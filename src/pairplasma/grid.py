@@ -149,24 +149,21 @@ def bohm_potential(n: np.ndarray, gamma: np.ndarray, dx: float, out=None, s=None
     """Quantum dispersion potential (n/gamma)^{-1/2} d2/dx2 (n/gamma)^{1/2} (spatial part).
 
     `bohm_potential(n, gamma, dx)` checks that n > 0 and returns a new array.
-    In-place form, for a caller that has already stopped on n <= 0: `out`
-    and `s` are padded buffers, s receives (n/gamma)^{1/2}, and the potential
-    is written into the interior of `out`, which is returned ready for
-    `ddx(out, dx, out=..., tmp=...)`. In that form n and gamma may be
-    stacks of rows, one per species, with `out` and `s` stacks of padded
-    rows.
+    In-place form, for a caller that has already stopped on n <= 0: the
+    potential is written into `out`, of n's shape, and returned, and the
+    padded buffer `s` receives (n/gamma)^{1/2}. In that form n and gamma may
+    be stacks of rows, one per species, with `s` a stack of padded rows.
     """
-    public = out is None
-    if public:
+    if out is None:
         if (np.asarray(n) <= 0.0).any():
             raise InvalidStateError("density must be strictly positive for the Bohm potential")
-        out, s = np.empty(len(n) + 4), np.empty(len(n) + 4)
+        out, s = np.empty(len(n)), np.empty(len(n) + 4)
     root = s[..., 2:-2]
     np.divide(n, gamma, out=root)
     np.sqrt(root, out=root)
-    potential = d2dx2(s, dx, out=out[..., 2:-2], tmp=tmp)
+    potential = d2dx2(s, dx, out=out, tmp=tmp)
     potential /= root
-    return potential if public else out
+    return potential
 
 
 def poisson_init_E(

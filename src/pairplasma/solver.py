@@ -53,10 +53,10 @@ field on its own: each operation is elementwise, in the same order.
 Finite checks run on every state the integrator evaluates, each once.
 `initial_condition` scans the initial state and `rk4_step` scans the state
 it returns; `rhs` scans its input unless its workspace already holds that
-state's gamma and phi (below). `rk4_step` leaves its workspace primed for
-the state it returns, so stage 1 of the next step through the same
-workspace, in `run` or in a caller's own loop, skips the scan. So a step
-makes four scans: the inputs of stages 2-4 and its result, one `isfinite`
+state's gamma and phi (below), and consumes them. `rk4_step` leaves its
+workspace primed for the state it returns, so stage 1 of the next step
+through the same workspace, in `run` or in a caller's own loop, skips the
+scan. So a step makes four scans: the inputs of stages 2-4 and its result, one `isfinite`
 over all five rows each. Derivatives are not scanned on their own, because
 a non-finite derivative makes the next stage state or the step result
 non-finite. Each check raises NumericalBreakdownError with the time and the
@@ -74,7 +74,7 @@ record computes its temporaries in the workspace's free buffers
 (`diagnostics.make_record`), so it allocates no array of M values.
 
 `run` allocates one `Workspace` after `initial_condition` and steps through
-it: padded stencil buffers, the four RK4 derivatives and the stage states
+it: one padded stencil stack, the RK4 derivatives and the stage state
 are reused by every stage of every step, with results bit-identical to
 evaluating each formula into new arrays. A workspace belongs to one run
 (or one caller) and is not shared. `rk4_step` still returns a state with a new
@@ -84,6 +84,7 @@ and may be evaluated concurrently on snapshots.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -206,11 +207,12 @@ class SolverOptions:
 
 def check_config_path(key: str, path: str):
     """Reject a path that a config cannot hold: '#' starts a comment, a line
-    break ends the line and blanks around a value are stripped."""
-    if "#" in path or path != path.strip() or len(path.splitlines()) != 1:
+    break ends the line, blanks around a value are stripped and no file name
+    holds a NUL."""
+    if "#" in path or "\0" in path or path != path.strip() or len(path.splitlines()) != 1:
         raise InvalidParameterError(
             f"{key} = {path!r} cannot be written in a config: it must be non-empty, "
-            "without '#' or line breaks, and not start or end with a blank"
+            "without '#', NUL or line breaks, and not start or end with a blank"
         )
 
 
@@ -247,8 +249,12 @@ class InitialCondition:
             )
         if not (self.L > 0.0):
             raise InvalidParameterError(f"ic L must be positive, got {self.L}")
-        if self.mode < 1:
-            raise InvalidParameterError(f"ic mode must be a positive integer, got {self.mode}")
+        # the wavenumber pi*mode/X needs a mode that converts to a float
+        if not 1 <= self.mode <= sys.float_info.max:
+            raise InvalidParameterError(
+                f"ic mode must be a positive integer below {sys.float_info.max:.3g}, "
+                f"got {self.mode}"
+            )
         if self.kind == "file" and not self.path:
             raise InvalidParameterError("ic kind 'file' requires ic path")
         if self.path is not None:
@@ -304,30 +310,27 @@ def _at_page_offset(shape, offset: int) -> np.ndarray:
 class Workspace:
     """Buffers for the RK4 steps of one run on one grid size, allocated once.
 
-    `pad` is one padded (4, M + 4) buffer (see `grid.padded`): rhs writes
-    the combined fluxes F_e and F_p into the interiors of rows 0-1, and
-    `prime` writes gamma_e and gamma_p into the interiors of rows 2-3
-    (`gamma`), so one stencil call differentiates all four and refreshes
-    only their ghost cells. With the Bohm term on, the stencil call takes
-    the first four rows of `spare` instead, a padded (5, M + 4) buffer,
-    holding F_s and g_s - Q_s/2, with `root` the padded (n_s/g_s)^{1/2}.
-    Hyperdiffusion then takes all five rows of the state, padded in `spare`,
-    with (5, M) scratch `spare_tmp`. The RK4 derivatives `k` and the stage
-    state `stage` are (5, M) arrays like a state's `u`; `tmp` is (5, M)
-    stencil scratch.
-    `primed` is the state whose gamma and phi the buffers hold; rhs reuses
-    them for that state instead of recomputing them and rescanning it, and
-    never writes into them. The solver never writes into a state's array,
-    so the state object identifies its values. Between steps pad rows 0-1,
-    scratch and tmp are free for the series record.
+    `pad` is the one stencil stack, six padded rows (see `grid.padded`):
+    rhs writes the combined fluxes F_e and F_p into the interiors of rows
+    0-1, and `prime` writes gamma_e and gamma_p into rows 2-3 (`gamma`), so
+    one stencil call differentiates all four and refreshes only their ghost
+    cells. With the Bohm term on, rows 4-5 hold the padded root
+    (n_s/g_s)^{1/2} and rhs writes g_s - Q_s/2 over the gammas. After the
+    stencil, hyperdiffusion pads the state's five rows into rows 0-4, with
+    (5, M) scratch `damp_tmp`. The RK4 derivatives `k`, the stage state
+    `stage` and the stencil scratch `tmp` are (5, M) arrays like `u`.
+    `primed` is the state whose gamma and phi the buffers hold, or None;
+    rhs reuses them for that state instead of recomputing them and
+    rescanning it, and consumes them, since it may write over the gammas.
+    The solver never writes into a state's array, so the state object
+    identifies its values. Between steps pad rows 0-1, scratch and tmp are
+    free for the series record.
     """
 
     def __init__(self, cells: int):
-        shapes = [(4, cells + 4), (2, cells + 4), (cells,), (cells,), (5, cells)] + [(5, cells)] * 4
-        shapes += [(5, cells + 4), (5, cells)]
+        shapes = [(6, cells + 4), (cells,), (cells,), (5, cells)] + [(5, cells)] * 5
         skewed = (_at_page_offset(shape, i * BUFFER_SKEW) for i, shape in enumerate(shapes))
-        (self.pad, self.root, self.phi, self.scratch, self.tmp, k1, k2, k3, self.stage,
-         self.spare, self.spare_tmp) = skewed
+        self.pad, self.phi, self.scratch, self.tmp, k1, k2, k3, self.stage, self.damp_tmp = skewed
         self.k = (k1, k2, k3)
         self.gamma = self.pad[2:4, 2:-2]
         self.primed = None
@@ -343,10 +346,10 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, 
     """Time derivatives of the semi-discrete system, as a (5, M) array.
 
     Its rows are dE, dn_e, dn_p, dp_e, dp_p, in the order of a state's `u`.
-    Checks that its input is finite unless `work` is primed for this state;
-    the derivatives themselves are not scanned (rk4_step scans the state it
-    returns). Uses a new Workspace when `work` is None, and writes into the
-    (5, M) array `out` when given, else into a new one. Each species pair
+    Checks that its input is finite unless `work` is primed for this state,
+    and leaves `work` unprimed; the derivatives are not scanned (rk4_step
+    scans the state it returns). Uses a new Workspace when `work` is None,
+    and writes into the (5, M) array `out` when given, else into a new one. Each species pair
     (n_e, n_p), (p_e, p_p) is computed by one call on its two rows.
     """
     if work is None:
@@ -355,6 +358,7 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, 
     if work.primed is not state:
         _check_fields(state.t, u)
         work.prime(state, params)
+    work.primed = None  # the stencil stack below may overwrite the gammas
     # Bohm and recombination are undefined for n <= 0: stop as a breakdown
     # (with t and cell) rather than fail inside their kernels.
     if opts.stop_on_negative_density or opts.bohm or params.a != 0.0:
@@ -364,12 +368,9 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, 
     dx = state.grid.dx
     E, n, p = u[0], u[1:3], u[3:5]
     dE, dn, dp = out[0], out[1:3], out[3:5]
-    tmp, scratch, gamma = work.tmp, work.scratch, work.gamma
-    # the stencil's four rows: the primed gammas follow the fluxes in `pad`,
-    # or, with the Bohm term, g_s - Q_s/2 in `spare`, leaving the gammas unchanged
-    stack = work.spare[:4] if opts.bohm else work.pad
+    pad, tmp, scratch, gamma = work.pad, work.tmp, work.scratch, work.gamma
 
-    flux = np.divide(p, gamma, out=stack[:2, 2:-2])
+    flux = np.divide(p, gamma, out=pad[:2, 2:-2])
     flux *= n
     current = np.subtract(flux[0], flux[1], out=dE)
     if opts.displacement_terms:
@@ -384,11 +385,11 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, 
     q0 *= work.phi
 
     if opts.bohm:
-        half_q = bohm_potential(n, gamma, dx, out=stack[2:4], s=work.root, tmp=tmp[:2])[:, 2:-2]
+        half_q = bohm_potential(n, gamma, dx, out=tmp[2:4], s=pad[4:6], tmp=tmp[:2])
         half_q *= 0.5
-        np.subtract(gamma, half_q, out=half_q)
+        np.subtract(gamma, half_q, out=gamma)
     # one stencil per evolved equation, all four in one call
-    ddx(stack, dx, out=out[1:5], tmp=tmp[:4])
+    ddx(pad[:4], dx, out=out[1:5], tmp=tmp[:4])
     np.subtract(q0, dn, out=dn)
     # -ddx - E and -ddx + E, which equals E - ddx in every bit
     np.negative(dp, out=dp)
@@ -407,10 +408,10 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, 
         dp += drag
 
     if opts.nu_h != 0.0:
-        # `spare` is free once the stencil has run; E is damped as well, so
+        # `pad` is free once the stencil has run; E is damped as well, so
         # that the Gauss law stays an invariant (see the module docstring)
-        work.spare[:, 2:-2] = u
-        out += hyperdiffusion(work.spare, opts.nu_h, out=tmp, tmp=work.spare_tmp)
+        pad[:5, 2:-2] = u
+        out += hyperdiffusion(pad[:5], opts.nu_h, out=tmp, tmp=work.damp_tmp)
 
     return out
 
@@ -486,6 +487,9 @@ def rk4_step(
     return result
 
 
+# numpy warns of no overflow or invalid value here: the finite scan and the
+# energy check below report them with their cell
+@np.errstate(over="ignore", invalid="ignore")
 def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams) -> SimState:
     """Build a Gauss-law-consistent initial state at t = 0."""
     x = grid.x
@@ -525,13 +529,21 @@ def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams)
     E = poisson_init_E(n_e, n_p, params.omega_pe_sq, grid)
     state = SimState.from_fields(grid, 0.0, E, n_e, n_p, p_e, p_p)
     _check_fields(0.0, state.u)
-    # a finite E whose energy density E^2/(2 w2) overflows has no energy to record
-    with np.errstate(over="ignore"):
-        finite = np.isfinite(E * E / (2.0 * params.omega_pe_sq))
-    if not finite.all():
-        cell = int(np.argmin(finite))
+    # a finite state whose energy overflows has no energy to record: the
+    # densities E^2/(2 w2), n_e g_e and n_p g_p, then their integral
+    field = E * E / (2.0 * params.omega_pe_sq)
+    density = np.concatenate(([field], state.n * lorentz_gamma(state.p)))
+    finite = np.isfinite(density)
+    for name, rows in (("field", finite[:1]), ("kinetic", finite[1:])):
+        if not rows.all():
+            cell = int(np.argmin(rows.all(axis=0)))
+            raise NumericalBreakdownError(
+                f"{name} energy density overflows at t = 0, cell {cell}", t=0.0, cell=cell
+            )
+    if not math.isfinite(integrate(density, grid.dx)):
+        cell = int(np.argmax(density.max(axis=0)))  # the cell of the largest energy density
         raise NumericalBreakdownError(
-            f"field energy density overflows at t = 0, cell {cell}", t=0.0, cell=cell
+            f"total energy overflows at t = 0, cell {cell}", t=0.0, cell=cell
         )
     _check_positive_densities(state)  # initial data must be strictly positive
     return state
@@ -541,11 +553,19 @@ def _plan_steps(opts: SolverOptions, dx: float):
     """Step count and step so the loop lands on t_end.
 
     The step cfl*dx shrinks to t_end / n_steps, with n_steps the fewest
-    steps of at most cfl*dx that reach t_end.
+    steps of at most cfl*dx that reach t_end. A step too small to advance
+    t_end by one rounding unit is a configuration error, not a plan of
+    more than 2^53 steps.
     """
     dt = opts.cfl * dx
     if opts.t_end == 0.0:
         return 0, dt
+    if opts.t_end + dt == opts.t_end:
+        raise InvalidParameterError(
+            f"the step dt = cfl*dx = {opts.cfl!r}*{dx!r} = {dt!r} is too small to "
+            f"advance t at t_end = {opts.t_end!r}; raise solver.cfl or grid.half_width, "
+            "or lower grid.cells"
+        )
     n_steps = max(1, math.ceil(opts.t_end / dt * (1.0 - 1e-12)))
     return n_steps, opts.t_end / n_steps
 
@@ -566,8 +586,8 @@ def run(config) -> RunResult:
     series_every = config.output.series_every
     snapshot_every = config.output.snapshot_every
 
-    state = initial_condition(config.ic, grid, params)
     n_steps, dt = _plan_steps(opts, grid.dx)
+    state = initial_condition(config.ic, grid, params)
     initial_n_e = integrate(state.n_e, grid.dx)
     work = Workspace(grid.cells)
     work.prime(state, params)

@@ -371,8 +371,8 @@ class TestRk4Step:
     def test_ddx_calls_per_rhs(self, monkeypatch, displacement_terms, bohm):
         # one stencil per evolved equation, all four in one call on four padded
         # rows: the continuity equations take the combined flux n_s v_s -/+ D_s,
-        # the momentum equations g_s, or g_s - Q_s/2 with Bohm on (then in the
-        # workspace's spare rows, since the primed gammas must stay unchanged)
+        # the momentum equations g_s, or g_s - Q_s/2 with Bohm on (then written
+        # over the primed gammas)
         calls = []
 
         def counted(f, dx, *args, **kwargs):
@@ -474,6 +474,15 @@ class TestSolverOptions:
         # cfl*dx = 9.375 shrinks to 21 / 3
         n, dt = sv._plan_steps(SolverOptions(cfl=0.4, t_end=21.0), grid.dx)
         assert (n, dt) == (3, 7.0)
+
+    def test_step_that_cannot_advance_t_end_is_refused(self):
+        # below half a rounding unit of t_end, t_end + dt == t_end: the plan
+        # would hold more than 2^53 steps
+        unit = math.ulp(1500.0)
+        n, dt = sv._plan_steps(SolverOptions(cfl=0.5, t_end=1500.0), unit * 1.01)
+        assert n > 2**53
+        with pytest.raises(InvalidParameterError, match="is too small to advance t"):
+            sv._plan_steps(SolverOptions(cfl=0.5, t_end=1500.0), unit * 0.99)
 
 
 class _MiniConfig:
@@ -752,15 +761,11 @@ class TestWorkspaceMemory:
         work = made[0]
         buffers = [a for value in vars(work).values() for a in arrays_in(value)]
         cells = _MiniConfig().grid.cells
-        # eleven disjoint buffers, each BUFFER_SKEW bytes further into a page
-        # than the one before (against 4K aliasing); gamma is a view of pad
-        own = [work.pad, work.root, work.phi, work.scratch, work.tmp, *work.k, work.stage]
-        own += [work.spare, work.spare_tmp]
-        assert [a.shape for a in own] == (
-            [(4, cells + 4), (2, cells + 4), (cells,), (cells,)]
-            + [(5, cells)] * 5
-            + [(5, cells + 4), (5, cells)]
-        )
+        # nine disjoint buffers, each BUFFER_SKEW bytes further into a page
+        # than the one before (against 4K aliasing), one of them padded: the
+        # stencil stack; gamma is a view of it
+        own = [work.pad, work.phi, work.scratch, work.tmp, *work.k, work.stage, work.damp_tmp]
+        assert [a.shape for a in own] == [(6, cells + 4), (cells,), (cells,)] + [(5, cells)] * 6
         assert len(buffers) == len(own) + 1 and np.shares_memory(work.gamma, work.pad)
         for i, a in enumerate(own):
             assert not any(np.shares_memory(a, b) for b in own[i + 1 :])
@@ -789,22 +794,35 @@ class TestWorkspaceMemory:
             assert not np.shares_memory(a, b)
             assert np.array_equal(a, k) and np.array_equal(b, k)
 
-    def test_rhs_leaves_primed_buffers_unchanged(self):
-        # a run's record and the next stage 1 read gamma and phi of the primed
-        # state after rhs has used the workspace's pads for the folded fluxes
+    def test_rhs_consumes_its_priming(self, monkeypatch):
+        # rhs may write over the primed gammas (g_s - Q_s/2, hyperdiffusion's
+        # padded state), so it leaves its workspace unprimed: a second rhs on
+        # the same state rescans and reprimes it, and a record primes it again
         grid = Grid1D(half_width=24000.0, cells=64)
         state = random_smooth_state(grid, np.random.default_rng(6))
         params = PhysicsParams(N0=0.2, alpha=1.0 / 137.0, a=1e-3)
         opts = SolverOptions(t_end=1.0, bohm=True, nu_h=0.01)
         work = Workspace(grid.cells)
         work.prime(state, params)
-        primed = [work.gamma.copy(), work.phi.copy()]
         first = rhs(state, params, opts, work).copy()
+        assert work.primed is None
+
+        calls = []
+        original = sv._check_fields
+
+        def counted(t, u):
+            calls.append(t)
+            return original(t, u)
+
+        monkeypatch.setattr(sv, "_check_fields", counted)
+        second = rhs(state, params, opts, work)
+        assert len(calls) == 1 and work.primed is None
+        assert np.array_equal(second, first)
+
+        record = make_record(state, params, 1.0, work)
         assert work.primed is state
-        for got, want in zip((work.gamma, work.phi), primed):
-            assert np.array_equal(got, want)
-        for got, want in zip(rhs(state, params, opts, work), first):
-            assert np.array_equal(got, want)
+        assert record == make_record(state, params, 1.0, Workspace(grid.cells))
+        assert record == make_record(state, params, 1.0)
 
     def test_step_memory_is_bounded(self, monkeypatch):
         # High-water mark of traced memory above its level at the start of each
