@@ -42,8 +42,13 @@ class Grid1D:
             raise InvalidParameterError(f"half_width must be positive, got {self.half_width}")
         if self.cells < 8 or self.cells % 2 != 0:
             raise InvalidParameterError(f"cells must be even and >= 8, got {self.cells}")
-        self.dx = 2.0 * self.half_width / self.cells
-        self.x = -self.half_width + (np.arange(self.cells) + 0.5) * self.dx
+        try:
+            self.dx = 2.0 * self.half_width / self.cells
+            self.x = -self.half_width + (np.arange(self.cells) + 0.5) * self.dx
+        except (OverflowError, ValueError) as err:  # no float dx, or no array that long
+            raise InvalidParameterError(
+                f"grid.cells = {self.cells} is too large to build the cell centres ({err})"
+            ) from None
 
     @property
     def length(self) -> float:

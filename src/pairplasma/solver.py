@@ -69,7 +69,7 @@ Each stage evaluates gamma_s and the guarded factor phi = exp(-pi/|E|)/N0
 (`kernels.pair_factor`) once and shares them: q0 = E^2 phi and
 D_s = g_s (E phi). For the state a step returns they are computed once,
 by `rk4_step` (`Workspace.prime`), and used by both its series record and
-the next step's stage 1; `run` primes only the initial state itself. The
+the next step's stage 1; the initial state's record primes it. The
 record computes its temporaries in the workspace's free buffers
 (`diagnostics.make_record`), so it allocates no array of M values.
 
@@ -122,12 +122,7 @@ RK4_REAL_LIMIT = 2.785
 RK4_IMAG_LIMIT = 2.0 * math.sqrt(2.0)
 BOHM_OMEGA_DX2 = 1.258294
 
-IC_KINDS = ("gaussian", "sine", "uniform", "file")
-
-# A restart snapshot's x column may differ from the grid's cell centres by at
-# most this fraction of a cell (it is written in full precision, so a
-# snapshot of the same grid matches exactly).
-X_TOLERANCE = 1e-6
+IC_KINDS = ("gaussian", "sine", "file")
 
 
 @dataclass
@@ -220,22 +215,22 @@ def check_config_path(key: str, path: str):
 class InitialCondition:
     """Initial-state description.
 
-    kind 'gaussian': n_e = base_e + amplitude*(x/L)*exp(-x^2/L^2), n_p = base_p
-    kind 'sine':     n_e = base_e + epsilon*sin(pi*mode*x/X),       n_p = base_p
-    kind 'uniform':  n_e = base_e, n_p = base_p
+    kind 'gaussian': n_e = 1 + base_p + amplitude*(x/L)*exp(-x^2/L^2), n_p = base_p
+    kind 'sine':     n_e = 1 + base_p + epsilon*sin(pi*mode*x/X),       n_p = base_p
     kind 'file':     n_e, n_p, p_e, p_p read from a snapshot CSV at `path`
 
+    The electron background 1 + base_p neutralizes the positrons and the
+    immobile ion density 1; a uniform plasma is a Gaussian of amplitude 0.
     Momenta start at zero unless the file provides them; E always comes from
     the Gauss-law solve so the state starts constraint-consistent. A
     Gaussian's L must be at least one cell, and a snapshot must have the
-    grid's cell count and its x column the grid's cell centres (else the run
-    stops with a configuration error). A restart runs from t = 0: the
-    snapshot's own time is not carried over.
+    grid's cell count and its x column exactly the grid's cell centres (else
+    the run stops with a configuration error). A restart runs from t = 0:
+    the snapshot's own time is not carried over.
     """
 
     kind: str = "gaussian"
     L: float = 6000.0
-    base_e: float = 1.01
     base_p: float = 0.01
     amplitude: float = 2.0
     epsilon: float = 1e-6
@@ -259,6 +254,10 @@ class InitialCondition:
             raise InvalidParameterError("ic kind 'file' requires ic path")
         if self.path is not None:
             check_config_path("ic.path", self.path)
+            if self.kind != "file":
+                raise InvalidParameterError(
+                    f"ic.path is read only with ic.kind = file, but ic.kind = {self.kind}"
+                )
 
 
 @dataclass
@@ -495,6 +494,7 @@ def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams)
     x = grid.x
     p_e = np.zeros(grid.cells)
     p_p = np.zeros(grid.cells)
+    base_e = 1.0 + ic.base_p  # neutral with the ions
     if ic.kind == "gaussian":
         if ic.L < grid.dx:
             # (x/L)^2 would overflow and leave a uniform plasma
@@ -503,14 +503,11 @@ def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams)
                 "the Gaussian is not resolved"
             )
         u = x / ic.L
-        n_e = ic.base_e + ic.amplitude * u * np.exp(-u * u)
+        n_e = base_e + ic.amplitude * u * np.exp(-u * u)
         n_p = np.full(grid.cells, ic.base_p)
     elif ic.kind == "sine":
         k = math.pi * ic.mode / grid.half_width
-        n_e = ic.base_e + ic.epsilon * np.sin(k * x)
-        n_p = np.full(grid.cells, ic.base_p)
-    elif ic.kind == "uniform":
-        n_e = np.full(grid.cells, ic.base_e)
+        n_e = base_e + ic.epsilon * np.sin(k * x)
         n_p = np.full(grid.cells, ic.base_p)
     else:  # file
         _, fields_ = read_snapshot(ic.path)
@@ -520,8 +517,7 @@ def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams)
             raise ConfigError(
                 f"snapshot {ic.path} has {len(n_e)} cells but the grid has {grid.cells}"
             )
-        # `not <=` also rejects a NaN in the x column
-        if not np.max(np.abs(fields_["x"] - grid.x)) <= X_TOLERANCE * grid.dx:
+        if not np.array_equal(fields_["x"], grid.x):
             raise ConfigError(
                 f"snapshot {ic.path}: its x column is not the grid's cell centres "
                 f"(half_width {grid.half_width!r}, cells {grid.cells})"
@@ -590,7 +586,6 @@ def run(config) -> RunResult:
     state = initial_condition(config.ic, grid, params)
     initial_n_e = integrate(state.n_e, grid.dx)
     work = Workspace(grid.cells)
-    work.prime(state, params)
 
     records = [make_record(state, params, initial_n_e, work)]
     snapshots = [(0, state)]

@@ -32,7 +32,6 @@ solver.cfl = 0.4
 solver.t_end = 1500
 ic.kind = gaussian
 ic.L = 6000
-ic.base_e = 1.01
 ic.base_p = 0.01
 ic.amplitude = 2
 output.series_every = 1

@@ -66,10 +66,17 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
 
     # these keys were removed: the pair factor's cutoff is where exp underflows,
-    # dE/dt has the one displacement sign that keeps the Gauss law, and every
-    # step an explicit dt could set is some solver.cfl*dx
+    # dE/dt has the one displacement sign that keeps the Gauss law, every
+    # step an explicit dt could set is some solver.cfl*dx, and the electron
+    # background of a neutral initial state is 1 + ic.base_p
     @pytest.mark.parametrize(
-        "line", ["physics.eps_field = 1e-8", "solver.ampere_sign_flip = on", "solver.dt = 9.375"]
+        "line",
+        [
+            "physics.eps_field = 1e-8",
+            "solver.ampere_sign_flip = on",
+            "solver.dt = 9.375",
+            "ic.base_e = 1.01",
+        ],
     )
     def test_removed_key_is_unknown(self, tmp_path, capsys, line):
         cfg = write_config(tmp_path, f"grid.cells = 64\n{line}\noutput.dir = {tmp_path / 'out'}\n")
@@ -77,6 +84,44 @@ class TestRunCommand:
         err = capsys.readouterr().err
         key = line.split(" = ")[0]
         assert err == f"configuration error: line 2: unknown key {key}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_removed_uniform_kind(self, tmp_path, capsys):
+        # a uniform plasma is a Gaussian of amplitude 0
+        cfg = write_config(
+            tmp_path, f"grid.cells = 64\nic.kind = uniform\noutput.dir = {tmp_path / 'out'}\n"
+        )
+        assert cli_main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("configuration error: unknown initial-condition kind 'uniform'")
+        assert not (tmp_path / "out").exists()
+
+    # unchecked, these ended in an OverflowError or ValueError traceback from
+    # building dx and the cell centres; none of them could be allocated
+    @pytest.mark.parametrize(
+        "cells", ["1" + "0" * 400, "99999999999999999998", "4611686018427387904"],
+        ids=["ten_to_400", "above_int64", "two_to_62"],
+    )
+    def test_huge_cell_count_is_config_error(self, tmp_path, capsys, cells):
+        cfg = write_config(tmp_path, f"grid.cells = {cells}\noutput.dir = {tmp_path / 'out'}\n")
+        assert cli_main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"configuration error: grid.cells = {cells} is too large")
+        assert not (tmp_path / "out").exists()
+
+    def test_path_without_file_kind_is_config_error(self, tmp_path, capsys):
+        # unchecked, the run solved the default Gaussian and its manifest
+        # listed a path it never read
+        cfg = write_config(
+            tmp_path, f"grid.cells = 64\nic.path = a.csv\noutput.dir = {tmp_path / 'out'}\n"
+        )
+        assert cli_main(["run", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: ic.path is read only with ic.kind = file, "
+            "but ic.kind = gaussian\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_non_utf8_config_exit_code(self, tmp_path, capsys):
@@ -282,9 +327,13 @@ class TestBadRestartInput:
         assert not (tmp_path / "out").exists()
 
     @staticmethod
-    def snapshot_on(tmp_path, half_width, cells=8):
-        # a uniform state at the cell centres of a grid of this half-width
-        rows = [f"{x!r},0.0,1.01,0.01,0.0,0.0\n" for x in Grid1D(half_width, cells).x.tolist()]
+    def snapshot_on(tmp_path, half_width, cells=8, nudged_row=None, n_e="1.01"):
+        # a uniform state at the cell centres of a grid of this half-width,
+        # with the x of `nudged_row`, if given, moved up by one ulp
+        x = Grid1D(half_width, cells).x
+        if nudged_row is not None:
+            x[nudged_row] = np.nextafter(x[nudged_row], np.inf)
+        rows = [f"{v!r},0.0,{n_e},0.01,0.0,0.0\n" for v in x.tolist()]
         snapshot = tmp_path / "restart.csv"
         snapshot.write_text("# t = 250.0\nx,E,n_e,n_p,p_e,p_p\n" + "".join(rows))
         return snapshot
@@ -312,10 +361,20 @@ class TestBadRestartInput:
         assert f"snapshot {snapshot} has 16 cells but the grid has 8" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("half_width", [12000.0, 24000.0 * (1 + 1e-5)])
-    def test_snapshot_of_another_grid_is_config_error(self, tmp_path, capsys, half_width):
-        # same cell count, another box: the x column tells the grids apart
-        snapshot = self.snapshot_on(tmp_path, half_width)
+    @pytest.mark.parametrize(
+        "half_width,nudged_row",
+        [
+            pytest.param(12000.0, None, id="12000.0"),
+            pytest.param(24000.0 * (1 + 1e-5), None, id="24000.24"),
+            pytest.param(24000.0, 5, id="one_ulp"),
+        ],
+    )
+    def test_snapshot_of_another_grid_is_config_error(
+        self, tmp_path, capsys, half_width, nudged_row
+    ):
+        # same cell count, another box: the x column tells the grids apart;
+        # the writer's x reads back bit-exact, so one ulp off is another grid
+        snapshot = self.snapshot_on(tmp_path, half_width, nudged_row=nudged_row)
         cfg = write_config(
             tmp_path,
             f"grid.cells = 8\nsolver.t_end = 10\nic.kind = file\nic.path = {snapshot}\n"
@@ -325,6 +384,21 @@ class TestBadRestartInput:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("configuration error: ")
         assert str(snapshot) in err and "x column" in err
+
+    def test_charged_snapshot_has_no_field(self, tmp_path, capsys):
+        # a generated state is neutral by construction; a restart is the one
+        # input whose densities can carry a net charge, which no periodic E
+        # balances
+        snapshot = self.snapshot_on(tmp_path, 24000.0, n_e="1.02")
+        cfg = write_config(
+            tmp_path,
+            f"grid.cells = 8\nic.kind = file\nic.path = {snapshot}\n"
+            f"output.dir = {tmp_path / 'out'}\n",
+        )
+        assert cli_main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: net charge integral -4.8")
+        assert not (tmp_path / "out").exists()
 
 
 def run_python(code, *args):

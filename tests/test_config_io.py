@@ -47,7 +47,6 @@ solver.nu_h = 0.0
 solver.stop_on_negative_density = off
 ic.kind = gaussian
 ic.L = 6000.0
-ic.base_e = 1.01
 ic.base_p = 0.01
 ic.amplitude = 2.0
 ic.epsilon = 1e-06
@@ -71,7 +70,6 @@ class TestParseConfig:
         assert cfg.solver.nu_h == 0.0
         assert cfg.ic.kind == "gaussian"
         assert cfg.ic.L == 6000.0
-        assert cfg.ic.base_e == 1.01
         assert cfg.ic.base_p == 0.01
         assert cfg.ic.amplitude == 2.0
 
@@ -117,7 +115,7 @@ class TestParseConfig:
     FLOAT_KEYS = [".".join(key) for key, parse in _SCHEMA.items() if parse is _parse_float]
 
     def test_float_keys_are_found(self):
-        assert len(self.FLOAT_KEYS) == 12 and "solver.t_end" in self.FLOAT_KEYS
+        assert len(self.FLOAT_KEYS) == 11 and "solver.t_end" in self.FLOAT_KEYS
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-1e400"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
@@ -160,7 +158,8 @@ class TestFormatConfig:
             "solver.cfl = 0.25\nphysics.a = 0.125\nic.kind = sine\nic.mode = 4\n"
             "output.dir = elsewhere\nsolver.stop_on_negative_density = on\n",
             "ic.kind = file\nic.path = x.csv\n",  # the only optional string key
-            "output.dir = out dir=1\nic.path = a b.csv\n",  # inner blanks and '=' are kept
+            # inner blanks and '=' are kept
+            "output.dir = out dir=1\nic.kind = file\nic.path = a b.csv\n",
         )
         for override in overrides:
             cfg = parse_config(override)
@@ -187,7 +186,7 @@ class TestFormatConfig:
 
 class TestSeriesFile:
     def _record(self, grid):
-        state = initial_condition(InitialCondition(kind="uniform"), grid, PARAMS)
+        state = initial_condition(InitialCondition(amplitude=0.0), grid, PARAMS)
         return make_record(state, PARAMS, integrate(state.n_e, grid.dx))
 
     def test_header_only_for_no_records(self, tmp_path):
@@ -297,7 +296,7 @@ class TestSnapshotWriterBytes:
 class TestManifest:
     def test_digests_and_config_fidelity(self, tmp_path):
         grid = Grid1D(half_width=100.0, cells=64)
-        state = initial_condition(InitialCondition(kind="uniform"), grid, PARAMS)
+        state = initial_condition(InitialCondition(amplitude=0.0), grid, PARAMS)
         series = write_series(
             [make_record(state, PARAMS, integrate(state.n_e, grid.dx))], tmp_path / "series.csv"
         )

@@ -437,9 +437,13 @@ class TestInitialCondition:
         assert np.max(np.abs(state.E)) == pytest.approx(PARAMS.omega_pe_sq * 6000.0, rel=1e-3)
 
     def test_uniform_neutral(self):
+        # n_e starts at 1 + base_p, so a uniform state carries no charge
         grid = Grid1D(half_width=100.0, cells=64)
-        state = initial_condition(InitialCondition(kind="uniform"), grid, PARAMS)
-        assert np.all(state.E == 0.0)
+        for base_p in (0.01, 1e-6, 0.25, 3.0):
+            ic = InitialCondition(amplitude=0.0, base_p=base_p)
+            state = initial_condition(ic, grid, PARAMS)
+            assert np.all(state.E == 0.0)
+            assert np.all(state.n_e == 1.0 + base_p) and np.all(state.n_p == base_p)
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidParameterError):
@@ -503,7 +507,7 @@ class TestRun:
 
     def test_equilibrium_records_identical(self):
         config = _MiniConfig(
-            ic=InitialCondition(kind="uniform"), solver=SolverOptions(t_end=500.0)
+            ic=InitialCondition(amplitude=0.0), solver=SolverOptions(t_end=500.0)
         )
         result = run(config)
         first = result.records[0]
@@ -844,12 +848,16 @@ class TestWorkspaceMemory:
             measured.base, measured.carry = tracemalloc.get_traced_memory()[0], 0
             return rk4_step(*args, **kwargs)
 
-        def measured_record(*args, **kwargs):
+        def measured_record(state, params, initial_n_e, work):
+            # the first record primes the initial state: that is set-up, done
+            # before the peak is carried, so it counts in marks[0]
+            if work.primed is not state:
+                work.prime(state, params)
             # resetting the peak here must not hide the step's peak from `measured`
             current, peak = tracemalloc.get_traced_memory()
             measured.carry = max(measured.carry, peak)
             tracemalloc.reset_peak()
-            record = make_record(*args, **kwargs)
+            record = make_record(state, params, initial_n_e, work)
             record_marks.append((tracemalloc.get_traced_memory()[1] - current) / (8 * cells))
             return record
 
@@ -868,18 +876,25 @@ class TestWorkspaceMemory:
 
 class TestScanCounts:
     def test_four_finite_scans_per_step(self, monkeypatch):
-        calls = []
-        original = sv._check_fields
+        calls, primes = [], []
+        original, prime = sv._check_fields, sv.Workspace.prime
 
         def counted(t, *fields_):
             calls.append(t)
             return original(t, *fields_)
 
+        def counted_prime(work, state, params):
+            primes.append(state.t)
+            return prime(work, state, params)
+
         monkeypatch.setattr(sv, "_check_fields", counted)
+        monkeypatch.setattr(sv.Workspace, "prime", counted_prime)
         result = run(_MiniConfig(solver=SolverOptions(t_end=300.0)))
         n_steps = len(result.records) - 1
         assert n_steps == 4
         assert len(calls) == 1 + 4 * n_steps  # initial_condition, then 3 stage inputs + the result
+        # the initial state once (for its record), then stages 2-4 and the result
+        assert len(primes) == 1 + 4 * n_steps
 
     def test_four_finite_scans_per_step_of_a_library_loop(self, monkeypatch):
         # rk4_step leaves its workspace primed for the state it returns, so a
@@ -960,7 +975,7 @@ class TestRecombinationClosedForm:
         # dx = 250, and cfl = dt / 250 (0.2, 0.1, 0.05) steps exactly dt
         a, n_p0 = 1e-3, 0.01
         config = parse_config(
-            "ic.kind = uniform\nphysics.a = 1e-3\ngrid.cells = 16\n"
+            "ic.amplitude = 0\nphysics.a = 1e-3\ngrid.cells = 16\n"
             f"grid.half_width = 2000\nsolver.t_end = 2000\nsolver.cfl = {dt / 250.0!r}\n"
         )
         result = run(config)
