@@ -10,7 +10,9 @@ pair creation rate is
 where N0 = n0 * h^3 / (m_e * c)^3 is the dimensionless reference density.
 All kernels are pure functions of their arguments (no global state) and
 accept scalars or equal-shaped numpy arrays; they are safe to call from any
-number of concurrent evaluators.
+number of concurrent evaluators. `Workspace`, by contrast, holds one run's
+buffers: the gamma and phi it primes, and the arrays `solver` and
+`diagnostics` compute in.
 """
 
 import math
@@ -122,7 +124,8 @@ def displacement_flux(E, gamma, N0: float):
 
     Models creation of the two partners at field-dependent offsets, so the
     pair's energy is drawn from the field. Odd in E; exact zero wherever
-    the exponential underflows.
+    the exponential underflows. `solver.rhs` computes it inline and never
+    calls this; it stays while `perfbench/child.py` traces it (ROADMAP item 1).
     """
     if not (N0 > 0.0):
         raise InvalidParameterError(f"N0 must be positive, got {N0}")
@@ -151,7 +154,11 @@ def schwinger_rate_si(E_field):
 
 
 def recombination_momentum_exchange(p_self, p_other, n_other, a: float):
-    """Momentum drag -a * n_other * (p_self - p_other) from annihilation."""
+    """Momentum drag -a * n_other * (p_self - p_other) from annihilation.
+
+    `solver.rhs` computes it inline and never calls this; it stays while
+    `perfbench/child.py` traces it (ROADMAP item 1).
+    """
     if not (a >= 0.0):
         raise InvalidParameterError(f"recombination coefficient a must be >= 0, got {a}")
     p_self = np.asarray(p_self, dtype=np.float64)
@@ -160,3 +167,56 @@ def recombination_momentum_exchange(p_self, p_other, n_other, a: float):
     if (n_other < 0.0).any():
         raise InvalidStateError("densities must be non-negative")
     return _maybe_scalar(-a * (n_other * (p_self - p_other)))
+
+
+# Each workspace buffer starts at its own offset into a 4 KiB page, BUFFER_SKEW
+# bytes after the previous one. Large arrays that numpy allocates fresh all
+# start at the same page offset, and a loop that loads from one such array
+# while it stores into another stalls on false store-to-load dependencies
+# (4K aliasing): spreading the buffers made the M = 2048 reference run about
+# 10% faster.
+PAGE_BYTES = 4096
+BUFFER_SKEW = 320
+
+
+def _at_page_offset(shape, offset: int) -> np.ndarray:
+    """Empty float array of `shape` whose data start `offset` bytes into a page."""
+    size = math.prod(shape)
+    raw = np.empty(size + PAGE_BYTES // 8)
+    start = (offset - raw.ctypes.data) % PAGE_BYTES // 8
+    return raw[start : start + size].reshape(shape)
+
+
+class Workspace:
+    """Buffers for the RK4 steps of one run on one grid size, allocated once.
+
+    `pad` is the one stencil stack, six padded rows (see `grid.padded`):
+    rhs writes the combined fluxes F_e and F_p into the interiors of rows
+    0-1, and `prime` writes gamma_e and gamma_p into rows 2-3 (`gamma`), so
+    one stencil call differentiates all four and refreshes only their ghost
+    cells. With the Bohm term on, rows 4-5 hold the padded root
+    (n_s/g_s)^{1/2} and rhs writes g_s - Q_s/2 over the gammas. After the
+    stencil, hyperdiffusion pads the state's five rows into rows 0-4, with
+    (5, M) scratch `damp_tmp`. The RK4 derivatives `k`, the stage state
+    `stage` and the stencil scratch `tmp` are (5, M) arrays like `u`.
+    `primed` is the state whose gamma and phi the buffers hold, or None;
+    rhs reuses them for that state instead of recomputing them and
+    rescanning it, and consumes them, since it may write over the gammas.
+    The solver never writes into a state's array, so the state object
+    identifies its values. Between steps pad rows 0-1, scratch and tmp are
+    free for the series record.
+    """
+
+    def __init__(self, cells: int):
+        shapes = [(6, cells + 4), (cells,), (cells,), (5, cells)] + [(5, cells)] * 5
+        skewed = (_at_page_offset(shape, i * BUFFER_SKEW) for i, shape in enumerate(shapes))
+        self.pad, self.phi, self.scratch, self.tmp, k1, k2, k3, self.stage, self.damp_tmp = skewed
+        self.k = (k1, k2, k3)
+        self.gamma = self.pad[2:4, 2:-2]
+        self.primed = None
+
+    def prime(self, state, params: PhysicsParams):
+        """Compute gamma_e, gamma_p and phi of `state`, which must be known finite."""
+        lorentz_gamma(state.p, out=self.gamma)
+        pair_factor(state.E, params.N0, out=self.phi)
+        self.primed = state

@@ -68,19 +68,17 @@ are then evaluated in place without a second density scan.
 Each stage evaluates gamma_s and the guarded factor phi = exp(-pi/|E|)/N0
 (`kernels.pair_factor`) once and shares them: q0 = E^2 phi and
 D_s = g_s (E phi). For the state a step returns they are computed once,
-by `rk4_step` (`Workspace.prime`), and used by both its series record and
-the next step's stage 1; the initial state's record primes it. The
-record computes its temporaries in the workspace's free buffers
-(`diagnostics.make_record`), so it allocates no array of M values.
+by `rk4_step` (`Workspace.prime`), and used by both its series record
+(`diagnostics.make_record`, which allocates no array of M values) and the
+next step's stage 1; the initial state's record primes it.
 
-`run` allocates one `Workspace` after `initial_condition` and steps through
-it: one padded stencil stack, the RK4 derivatives and the stage state
-are reused by every stage of every step, with results bit-identical to
-evaluating each formula into new arrays. A workspace belongs to one run
-(or one caller) and is not shared. `rk4_step` still returns a state with a new
-array, so states and snapshots never alias the workspace. `rhs` and
-`rk4_step` called without a workspace build a fresh one, so they stay pure
-and may be evaluated concurrently on snapshots.
+`run` allocates one `kernels.Workspace` after `initial_condition` and steps
+through it, with results bit-identical to evaluating each formula into new
+arrays. A workspace belongs to one run (or one caller) and is not shared.
+`rk4_step` still returns a state with a new array, so states and snapshots
+never alias the workspace. `rhs` and `rk4_step` called without a workspace
+build a fresh one, so they stay pure and may be evaluated concurrently on
+snapshots.
 """
 
 import math
@@ -100,7 +98,7 @@ from .grid import (
     integrate,
     poisson_init_E,
 )
-from .kernels import PhysicsParams, lorentz_gamma, pair_factor
+from .kernels import PhysicsParams, Workspace, lorentz_gamma
 from .output import read_snapshot
 
 # Hard step-size ceiling: signal speeds never exceed c = 1 in these units.
@@ -286,59 +284,6 @@ def _check_positive_densities(state: SimState):
             t=state.t,
             cell=cell,
         )
-
-
-# Each workspace buffer starts at its own offset into a 4 KiB page, BUFFER_SKEW
-# bytes after the previous one. Large arrays that numpy allocates fresh all
-# start at the same page offset, and a loop that loads from one such array
-# while it stores into another stalls on false store-to-load dependencies
-# (4K aliasing): spreading the buffers made the M = 2048 reference run about
-# 10% faster.
-PAGE_BYTES = 4096
-BUFFER_SKEW = 320
-
-
-def _at_page_offset(shape, offset: int) -> np.ndarray:
-    """Empty float array of `shape` whose data start `offset` bytes into a page."""
-    size = math.prod(shape)
-    raw = np.empty(size + PAGE_BYTES // 8)
-    start = (offset - raw.ctypes.data) % PAGE_BYTES // 8
-    return raw[start : start + size].reshape(shape)
-
-
-class Workspace:
-    """Buffers for the RK4 steps of one run on one grid size, allocated once.
-
-    `pad` is the one stencil stack, six padded rows (see `grid.padded`):
-    rhs writes the combined fluxes F_e and F_p into the interiors of rows
-    0-1, and `prime` writes gamma_e and gamma_p into rows 2-3 (`gamma`), so
-    one stencil call differentiates all four and refreshes only their ghost
-    cells. With the Bohm term on, rows 4-5 hold the padded root
-    (n_s/g_s)^{1/2} and rhs writes g_s - Q_s/2 over the gammas. After the
-    stencil, hyperdiffusion pads the state's five rows into rows 0-4, with
-    (5, M) scratch `damp_tmp`. The RK4 derivatives `k`, the stage state
-    `stage` and the stencil scratch `tmp` are (5, M) arrays like `u`.
-    `primed` is the state whose gamma and phi the buffers hold, or None;
-    rhs reuses them for that state instead of recomputing them and
-    rescanning it, and consumes them, since it may write over the gammas.
-    The solver never writes into a state's array, so the state object
-    identifies its values. Between steps pad rows 0-1, scratch and tmp are
-    free for the series record.
-    """
-
-    def __init__(self, cells: int):
-        shapes = [(6, cells + 4), (cells,), (cells,), (5, cells)] + [(5, cells)] * 5
-        skewed = (_at_page_offset(shape, i * BUFFER_SKEW) for i, shape in enumerate(shapes))
-        self.pad, self.phi, self.scratch, self.tmp, k1, k2, k3, self.stage, self.damp_tmp = skewed
-        self.k = (k1, k2, k3)
-        self.gamma = self.pad[2:4, 2:-2]
-        self.primed = None
-
-    def prime(self, state: SimState, params: PhysicsParams):
-        """Compute gamma_e, gamma_p and phi of `state`, which must be known finite."""
-        lorentz_gamma(state.p, out=self.gamma)
-        pair_factor(state.E, params.N0, out=self.phi)
-        self.primed = state
 
 
 def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, out=None):

@@ -1,7 +1,9 @@
 """End-to-end CLI tests: subcommands, exit codes, output layout."""
 
+import ast
 import errno
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -639,3 +641,19 @@ class TestOtherCommands:
         assert "checks passed" in out
         assert "PASS  quantum physics: Bohm dispersion matches the discrete closed form" in out
         assert "PASS  recombination: n_p matches its closed form" in out
+
+
+def test_benchmark_traces_existing_functions():
+    # perfbench/child.py wraps every `module.function` in TRACED when it runs
+    # `pairplasma run`, and a traced sample fails on a name that is gone
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    (traced,) = (
+        ast.literal_eval(node.value)
+        for node in ast.parse(source.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED"
+    )
+    assert traced
+    for module_name, functions in traced.items():
+        module = importlib.import_module(f"pairplasma.{module_name}")
+        for name in functions:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"

@@ -12,7 +12,16 @@ from pairplasma.diagnostics import (
 )
 from pairplasma.grid import Grid1D, integrate
 from pairplasma.kernels import PhysicsParams, schwinger_rate_norm
-from pairplasma.solver import InitialCondition, SimState, SolverOptions, initial_condition, rhs, run
+from pairplasma.selfcheck import random_smooth_state
+from pairplasma.solver import (
+    InitialCondition,
+    SimState,
+    SolverOptions,
+    Workspace,
+    initial_condition,
+    rhs,
+    run,
+)
 
 PARAMS = PhysicsParams(N0=0.2, alpha=1.0 / 137.0)
 
@@ -157,8 +166,6 @@ class TestEnergyBalance:
 
     def test_equals_semi_discrete_energy_derivative(self):
         # contract the energy gradient with the rhs: d/dt E_tot == balance_rhs
-        from pairplasma.selfcheck import random_smooth_state
-
         rng = np.random.default_rng(71)
         grid = Grid1D(half_width=24000.0, cells=512)
         opts = SolverOptions(t_end=1.0)
@@ -179,6 +186,20 @@ class TestEnergyBalance:
             # the balance form commutes the derivative past the square, an
             # O(dx^4) product-rule difference from the exact-summation form
             assert ddt_energy == pytest.approx(balance, rel=1e-5, abs=1e-13)
+
+    @pytest.mark.parametrize("primed_for", ["nothing", "another_state"])
+    def test_workspace_is_primed_for_the_state(self, primed_for):
+        # phi is read from the workspace, so one that holds no phi, or the
+        # phi of another state, must be primed for this state first
+        grid = Grid1D(half_width=24000.0, cells=64)
+        work = Workspace(grid.cells)
+        state = random_smooth_state(grid, np.random.default_rng(12))
+        if primed_for == "another_state":
+            work.prime(random_smooth_state(grid, np.random.default_rng(13)), PARAMS)
+        got = energy_balance_rhs(state, PARAMS, work)
+        want = energy_balance_rhs(state, PARAMS)
+        assert want != 0.0 and got.hex() == want.hex()
+        assert work.primed is state
 
     def test_integral_form_over_reference_run(self):
         # E_tot(t) - E_tot(0) tracks the time integral of balance_rhs to

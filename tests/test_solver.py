@@ -306,7 +306,8 @@ class TestRk4Step:
             calls.append(1)
             return pair_factor(*args, **kwargs)
 
-        monkeypatch.setattr(sv, "pair_factor", counted)
+        # Workspace.prime, the one caller in a step, looks it up in kernels
+        monkeypatch.setattr(kernels, "pair_factor", counted)
         grid = Grid1D(half_width=24000.0, cells=64)
         state = random_smooth_state(grid, np.random.default_rng(2))
         opts = SolverOptions(t_end=1.0)
@@ -738,6 +739,7 @@ class TestWorkspaceReference:
         result = run(config)
         initial_n_e = integrate(result.snapshots[0][1].n_e, config.grid.dx)
         assert len(result.records) == len(result.snapshots) >= 21
+        # the run's workspace, primed by rk4_step, against a fresh one per record
         for record, (_, snap) in zip(result.records, result.snapshots):
             assert record == make_record(snap, params, initial_n_e)
 
@@ -773,8 +775,8 @@ class TestWorkspaceMemory:
         assert len(buffers) == len(own) + 1 and np.shares_memory(work.gamma, work.pad)
         for i, a in enumerate(own):
             assert not any(np.shares_memory(a, b) for b in own[i + 1 :])
-        offsets = [a.ctypes.data % sv.PAGE_BYTES for a in own]
-        assert offsets == [i * sv.BUFFER_SKEW for i in range(len(own))]
+        offsets = [a.ctypes.data % kernels.PAGE_BYTES for a in own]
+        assert offsets == [i * kernels.BUFFER_SKEW for i in range(len(own))]
         # each state's u, returned by one rk4_step, and its row views
         states = [snap.u for _, snap in result.snapshots]
         assert len(states) == 5 and all(u.shape == (5, cells) for u in states)
@@ -834,8 +836,7 @@ class TestWorkspaceMemory:
         # values. Stepping through the workspace needs the returned state (5)
         # plus a record's temporaries; allocating every intermediate took 37.
         # Each record is also measured alone: it computes in the workspace's
-        # free buffers and allocates no array of M values (the public form
-        # took 6).
+        # free buffers and allocates no array of M values.
         cells = 8192
         grid = Grid1D(half_width=24000.0, cells=cells)
         config = _MiniConfig(grid=grid, solver=SolverOptions(t_end=20 * 0.4 * grid.dx))
