@@ -12,8 +12,8 @@ failing check), 3 I/O error.
 down: series.csv, then the snapshots in up to one process per available
 CPU (`output.write_snapshots`), then, after every writer has finished and
 the share of any writer that failed has been written again, the manifest
-with the digests of the files on disk. `init` is a run with
-`solver.t_end = 0` and writes the same way.
+with the digests of the files on disk. `init` is `run` with
+`solver.t_end = 0`, through the same function.
 
 `cli_main` freezes the garbage collector once the arguments have parsed,
 because the objects the interpreter and the imports built live until the
@@ -56,6 +56,9 @@ def _write_outputs(config: RunConfig, records, snapshots) -> Path:
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config)
+    if args.command == "init":
+        # the manifest then records t_end = 0, so re-parsing it reproduces these files
+        config.solver = dataclasses.replace(config.solver, t_end=0.0)
     try:
         result = solver.run(config)
     except NumericalBreakdownError as err:
@@ -70,16 +73,6 @@ def _cmd_run(args) -> int:
         f"{len(result.snapshots)} snapshots, delta_pairs = {last.delta_pairs:.6g} "
         f"-> {outdir}"
     )
-    return EXIT_OK
-
-
-def _cmd_init(args) -> int:
-    config = _load_config(args.config)
-    # the manifest then records t_end = 0, so re-parsing it reproduces these files
-    config.solver = dataclasses.replace(config.solver, t_end=0.0)
-    result = solver.run(config)
-    outdir = _write_outputs(config, result.records, result.snapshots)
-    print(f"initial state written: max|E| = {result.records[0].max_abs_E:.6g} -> {outdir}")
     return EXIT_OK
 
 
@@ -113,7 +106,7 @@ def cli_main(argv=None) -> int:
     p_run.set_defaults(func=_cmd_run)
     p_init = sub.add_parser("init", help="write only the initial snapshot, series row and manifest")
     p_init.add_argument("config", help="path to a config file")
-    p_init.set_defaults(func=_cmd_init)
+    p_init.set_defaults(func=_cmd_run)
     sub.add_parser("check", help="run the built-in invariant suite").set_defaults(
         func=_cmd_check
     )

@@ -20,8 +20,8 @@ them from there (`_SCHEMA`). Summary:
     grid:    half_width=24000.0  cells=2048
     solver:  cfl=0.4  t_end=1500.0  displacement_terms=on
              bohm=off  nu_h=0.0  stop_on_negative_density=off
-    ic:      kind=gaussian  L=6000.0  base_p=0.01  amplitude=2.0
-             epsilon=1e-6  mode=2  path=  (read only with kind=file)
+    ic:      kind=gaussian  L=6000.0  base_p=0.01  amplitude=2.0  mode=2
+             path=  (read only with kind=file)
     output:  dir=out  series_every=1  snapshot_every=40
 """
 

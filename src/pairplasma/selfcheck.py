@@ -79,7 +79,7 @@ def _measure_mode_frequency(grid, mode, dt, n_steps, params, opts) -> float:
     E is projected on cos(k x), k = pi*mode/half_width, after every step and
     the projection is fitted with `fit_oscillation_frequency`.
     """
-    ic = InitialCondition(kind="sine", epsilon=1e-6, mode=mode, base_p=BASE_P)
+    ic = InitialCondition(kind="sine", amplitude=1e-6, mode=mode, base_p=BASE_P)
     state = initial_condition(ic, grid, params)
     work = Workspace(grid.cells)
     probe = np.cos(math.pi * mode / grid.half_width * grid.x)

@@ -214,7 +214,7 @@ class InitialCondition:
     """Initial-state description.
 
     kind 'gaussian': n_e = 1 + base_p + amplitude*(x/L)*exp(-x^2/L^2), n_p = base_p
-    kind 'sine':     n_e = 1 + base_p + epsilon*sin(pi*mode*x/X),       n_p = base_p
+    kind 'sine':     n_e = 1 + base_p + amplitude*sin(pi*mode*x/X),     n_p = base_p
     kind 'file':     n_e, n_p, p_e, p_p read from a snapshot CSV at `path`
 
     The electron background 1 + base_p neutralizes the positrons and the
@@ -231,7 +231,6 @@ class InitialCondition:
     L: float = 6000.0
     base_p: float = 0.01
     amplitude: float = 2.0
-    epsilon: float = 1e-6
     mode: int = 2
     path: Optional[str] = None
 
@@ -452,7 +451,7 @@ def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams)
         n_p = np.full(grid.cells, ic.base_p)
     elif ic.kind == "sine":
         k = math.pi * ic.mode / grid.half_width
-        n_e = base_e + ic.epsilon * np.sin(k * x)
+        n_e = base_e + ic.amplitude * np.sin(k * x)
         n_p = np.full(grid.cells, ic.base_p)
     else:  # file
         _, fields_ = read_snapshot(ic.path)
@@ -486,7 +485,13 @@ def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams)
         raise NumericalBreakdownError(
             f"total energy overflows at t = 0, cell {cell}", t=0.0, cell=cell
         )
-    _check_positive_densities(state)  # initial data must be strictly positive
+    neg = (state.n <= 0.0).any(axis=0)  # initial data must be strictly positive
+    if neg.any():
+        cell = int(np.argmax(neg))
+        raise NumericalBreakdownError(
+            f"density <= 0 in the initial state at cell {cell}: "
+            f"n_e = {n_e[cell]:.6g}, n_p = {n_p[cell]:.6g}", t=0.0, cell=cell
+        )
     return state
 
 

@@ -69,8 +69,9 @@ class TestRunCommand:
 
     # these keys were removed: the pair factor's cutoff is where exp underflows,
     # dE/dt has the one displacement sign that keeps the Gauss law, every
-    # step an explicit dt could set is some solver.cfl*dx, and the electron
-    # background of a neutral initial state is 1 + ic.base_p
+    # step an explicit dt could set is some solver.cfl*dx, the electron
+    # background of a neutral initial state is 1 + ic.base_p, and ic.amplitude
+    # sets the perturbation of the sine state as it does the Gaussian's
     @pytest.mark.parametrize(
         "line",
         [
@@ -78,6 +79,7 @@ class TestRunCommand:
             "solver.ampere_sign_flip = on",
             "solver.dt = 9.375",
             "ic.base_e = 1.01",
+            "ic.epsilon = 1e-6",
         ],
     )
     def test_removed_key_is_unknown(self, tmp_path, capsys, line):
@@ -198,6 +200,17 @@ class TestRunCommand:
         assert "numerical breakdown" in capsys.readouterr().err
         assert (outdir / "series.csv").exists()  # header-only flush
 
+    def test_negative_initial_density_names_the_initial_state(self, tmp_path, capsys):
+        # the configured state is at fault, not wave breaking: at cell 33,
+        # x = 1125 and n_e = 1.01 - 10*(0.1875)*exp(-0.1875^2)
+        outdir = tmp_path / "out"
+        cfg = write_config(tmp_path, f"grid.cells = 64\nic.amplitude = -10\noutput.dir = {outdir}\n")
+        assert cli_main(["run", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "numerical breakdown: density <= 0 in the initial state at cell 33: "
+            "n_e = -0.800227, n_p = 0.01\n"
+        )
+
     def test_strict_positivity_breakdown_mid_run(self, tmp_path, capsys):
         outdir = tmp_path / "out"
         cfg = write_config(
@@ -256,7 +269,7 @@ class TestRunCommand:
         cfg = write_config(
             tmp_path,
             f"grid.cells = 64\ngrid.half_width = {half_width}\nic.kind = sine\n"
-            f"ic.epsilon = 1e-3\nic.mode = 1\nsolver.bohm = on\nsolver.nu_h = {nu_h}\n"
+            f"ic.amplitude = 1e-3\nic.mode = 1\nsolver.bohm = on\nsolver.nu_h = {nu_h}\n"
             f"solver.t_end = {t_end}\noutput.series_every = 0\noutput.dir = {outdir}\n",
         )
         assert cli_main(["run", cfg]) == code
@@ -595,10 +608,11 @@ class TestParallelWriters:
 
 
 class TestInitCommand:
-    def test_writes_initial_state_only(self, tmp_path):
+    def test_writes_initial_state_only(self, tmp_path, capsys):
         outdir = tmp_path / "out"
         cfg = write_config(tmp_path, f"grid.cells = 128\noutput.dir = {outdir}\n")
         assert cli_main(["init", cfg]) == 0
+        assert capsys.readouterr().out.startswith("run finished at t = 0: 1 records, 1 snapshots")
         assert (outdir / "series.csv").exists()
         assert (outdir / "fields_000000.csv").exists()
         assert not (outdir / "fields_000001.csv").exists()
@@ -623,6 +637,23 @@ class TestInitCommand:
         assert sorted(p.name for p in rerun.iterdir()) == sorted(names + ["manifest.json"])
         for name in names:
             assert (rerun / name).read_bytes() == (outdir / name).read_bytes()
+
+    def test_breakdown_at_t0_flushes_as_run_does(self, tmp_path, capsys):
+        # init is run with t_end = 0 through the same path: a state that breaks
+        # down at t = 0 exits 2 with the same line and writes the same files
+        seen = {}
+        for command in ("init", "run"):
+            outdir = tmp_path / command
+            text = f"grid.cells = 64\nic.amplitude = -10\noutput.dir = {outdir}\n"
+            code = cli_main([command, write_config(tmp_path, text, name=f"{command}.cfg")])
+            out, err = capsys.readouterr()
+            names = sorted(p.name for p in outdir.glob("*"))
+            series = (outdir / "series.csv").read_bytes() if "series.csv" in names else None
+            seen[command] = (code, out, err, names, series)
+        assert seen["init"] == seen["run"]
+        code, out, err, names, _ = seen["run"]
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert names == ["manifest.json", "series.csv"]
 
 
 class TestOtherCommands:

@@ -49,7 +49,6 @@ ic.kind = gaussian
 ic.L = 6000.0
 ic.base_p = 0.01
 ic.amplitude = 2.0
-ic.epsilon = 1e-06
 ic.mode = 2
 output.dir = out
 output.series_every = 1
@@ -81,7 +80,7 @@ class TestParseConfig:
             solver.cfl = 0.25
             grid.cells = 256
             ic.kind = sine
-            ic.epsilon = 1.5e-7
+            ic.amplitude = 1.5e-7
             solver.displacement_terms = off
             """
         )
@@ -89,7 +88,7 @@ class TestParseConfig:
         assert cfg.solver.cfl == 0.25
         assert cfg.grid.cells == 256
         assert cfg.ic.kind == "sine"
-        assert cfg.ic.epsilon == 1.5e-7
+        assert cfg.ic.amplitude == 1.5e-7
         assert cfg.solver.displacement_terms is False
         assert cfg.grid.half_width == 24000.0  # untouched default
 
@@ -115,7 +114,7 @@ class TestParseConfig:
     FLOAT_KEYS = [".".join(key) for key, parse in _SCHEMA.items() if parse is _parse_float]
 
     def test_float_keys_are_found(self):
-        assert len(self.FLOAT_KEYS) == 11 and "solver.t_end" in self.FLOAT_KEYS
+        assert len(self.FLOAT_KEYS) == 10 and "solver.t_end" in self.FLOAT_KEYS
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-1e400"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
@@ -144,7 +143,7 @@ class TestParseConfig:
             assert cfg.solver.bohm is value
 
     def test_scientific_notation(self):
-        cfg = parse_config("physics.a = 2.5E-9\nic.epsilon = 1e-6\n")
+        cfg = parse_config("physics.a = 2.5E-9\nic.amplitude = 1e-6\n")
         assert cfg.physics.a == 2.5e-9
 
 

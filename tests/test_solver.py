@@ -257,7 +257,7 @@ class TestRk4Step:
         for n_steps in (73, 146):  # dt ~ 0.5*dx and half that, landing exactly on one period
             dt = period / n_steps
             assert dt <= 0.5 * grid.dx
-            state = initial_condition(InitialCondition(kind="sine", epsilon=1e-6, mode=2), grid, PARAMS)
+            state = initial_condition(InitialCondition(kind="sine", amplitude=1e-6, mode=2), grid, PARAMS)
             start = state.E.copy()
             opts = SolverOptions(t_end=period)
             for _ in range(n_steps):
