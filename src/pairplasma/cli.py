@@ -15,6 +15,12 @@ the share of any writer that failed has been written again, the manifest
 with the digests of the files on disk. `init` is `run` with
 `solver.t_end = 0`, through the same function.
 
+Every error ends in one stderr line printed by `cli_main`. `_cmd_run`
+flushes a numerical breakdown's partial outputs and re-raises it, and
+`cli_main` prints `numerical breakdown: <reason> at t = <t>, cell <N>:
+E = ..., n_e = ..., n_p = ..., p_e = ..., p_p = ...`, the field values in
+that cell.
+
 `cli_main` freezes the garbage collector once the arguments have parsed,
 because the objects the interpreter and the imports built live until the
 process exits, and collecting them again at exit cost tens of milliseconds.
@@ -62,10 +68,9 @@ def _cmd_run(args) -> int:
     try:
         result = solver.run(config)
     except NumericalBreakdownError as err:
-        # Flush whatever was collected before the breakdown.
+        # Flush whatever was collected before the breakdown; cli_main reports it.
         _write_outputs(config, err.records, err.snapshots)
-        print(f"numerical breakdown: {err}", file=sys.stderr)
-        return EXIT_BREAKDOWN
+        raise
     outdir = _write_outputs(config, result.records, result.snapshots)
     last = result.records[-1]
     print(

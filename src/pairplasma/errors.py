@@ -24,9 +24,10 @@ class ChargeImbalanceError(PairPlasmaError):
 class NumericalBreakdownError(PairPlasmaError):
     """The solution left the model's validity range (non-finite values or n <= 0).
 
-    Carries the simulation time and the first offending cell index. When raised
-    out of a run loop, any diagnostics collected so far are attached so the
-    caller can flush them before exiting.
+    Carries the simulation time and the offending cell index; its message
+    names both and the five field values in that cell (E, n_e, n_p, p_e,
+    p_p). When raised out of a run loop, any diagnostics collected so far
+    are attached so the caller can flush them before exiting.
     """
 
     def __init__(self, message: str, t: float, cell: int):

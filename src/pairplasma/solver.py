@@ -59,8 +59,9 @@ through the same workspace, in `run` or in a caller's own loop, skips the
 scan. So a step makes four scans: the inputs of stages 2-4 and its result, one `isfinite`
 over all five rows each. Derivatives are not scanned on their own, because
 a non-finite derivative makes the next stage state or the step result
-non-finite. Each check raises NumericalBreakdownError with the time and the
-first offending cell (column), whichever row holds the bad value. With the
+non-finite. Each check raises NumericalBreakdownError (`_breakdown`) naming
+the time, the first offending cell (column), whichever row holds the bad
+value, and the five field values there. With the
 Bohm term, recombination or `stop_on_negative_density` on, `rhs` also
 checks n > 0 once per stage; the Bohm potential and the recombination terms
 are then evaluated in place without a second density scan.
@@ -89,7 +90,7 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import make_record
-from .errors import ConfigError, InvalidParameterError, NumericalBreakdownError
+from .errors import ChargeImbalanceError, ConfigError, InvalidParameterError, NumericalBreakdownError
 from .grid import (
     Grid1D,
     bohm_potential,
@@ -99,7 +100,7 @@ from .grid import (
     poisson_init_E,
 )
 from .kernels import PhysicsParams, Workspace, lorentz_gamma
-from .output import read_snapshot
+from .output import SNAPSHOT_COLUMNS, read_snapshot
 
 # Hard step-size ceiling: signal speeds never exceed c = 1 in these units.
 CFL_MAX = 0.5
@@ -220,11 +221,11 @@ class InitialCondition:
     The electron background 1 + base_p neutralizes the positrons and the
     immobile ion density 1; a uniform plasma is a Gaussian of amplitude 0.
     Momenta start at zero unless the file provides them; E always comes from
-    the Gauss-law solve so the state starts constraint-consistent. A
-    Gaussian's L must be at least one cell, and a snapshot must have the
-    grid's cell count and its x column exactly the grid's cell centres (else
-    the run stops with a configuration error). A restart runs from t = 0:
-    the snapshot's own time is not carried over.
+    the Gauss-law solve so the state starts constraint-consistent. base_p
+    must be positive, a Gaussian's L at least one cell, and a snapshot must
+    have the grid's cell count, its x column exactly the grid's cell centres
+    and no net charge (else the run stops with a configuration error). A
+    restart runs from t = 0: the snapshot's own time is not carried over.
     """
 
     kind: str = "gaussian"
@@ -241,6 +242,8 @@ class InitialCondition:
             )
         if not (self.L > 0.0):
             raise InvalidParameterError(f"ic L must be positive, got {self.L}")
+        if not (self.base_p > 0.0):
+            raise InvalidParameterError(f"ic.base_p must be positive, got {self.base_p}")
         # the wavenumber pi*mode/X needs a mode that converts to a float
         if not 1 <= self.mode <= sys.float_info.max:
             raise InvalidParameterError(
@@ -264,25 +267,28 @@ class RunResult:
     snapshots: list  # (index, SimState) pairs
 
 
+def _breakdown(reason: str, t: float, u: np.ndarray, at: np.ndarray) -> NumericalBreakdownError:
+    """The NumericalBreakdownError for `reason` at time t, in the cell where
+    the M values `at` are largest (for per-cell flags, the first set one).
+    Its message names t, the cell and the values of u's five rows there."""
+    cell = int(np.argmax(at))
+    values = ", ".join(f"{name} = {v:.6g}" for name, v in zip(SNAPSHOT_COLUMNS[1:], u[:, cell]))
+    message = f"{reason} at t = {t:.6g}, cell {cell}: {values}"
+    return NumericalBreakdownError(message, t=t, cell=cell)
+
+
 def _check_fields(t: float, u: np.ndarray):
     """Raise NumericalBreakdownError at the first cell where any row of u is not finite."""
     finite = np.isfinite(u)
     if not finite.all():
-        cell = int(np.argmin(finite.all(axis=0)))
-        raise NumericalBreakdownError(
-            f"non-finite field value at t = {t:.6g}, cell {cell}", t=t, cell=cell
-        )
+        raise _breakdown("non-finite field value", t, u, ~finite.all(axis=0))
 
 
 def _check_positive_densities(state: SimState):
     neg = state.n <= 0.0
     if neg.any():
-        cell = int(np.argmax(neg.any(axis=0)))
-        raise NumericalBreakdownError(
-            f"density <= 0 at t = {state.t:.6g}, cell {cell} (cold-fluid wave breaking)",
-            t=state.t,
-            cell=cell,
-        )
+        reason = "density <= 0 (cold-fluid wave breaking)"
+        raise _breakdown(reason, state.t, state.u, neg.any(axis=0))
 
 
 def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, out=None):
@@ -466,7 +472,13 @@ def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams)
                 f"snapshot {ic.path}: its x column is not the grid's cell centres "
                 f"(half_width {grid.half_width!r}, cells {grid.cells})"
             )
-    E = poisson_init_E(n_e, n_p, params.omega_pe_sq, grid)
+    try:
+        E = poisson_init_E(n_e, n_p, params.omega_pe_sq, grid)
+    except ChargeImbalanceError as err:
+        if ic.kind != "file":
+            raise
+        # the snapshot's own densities carry the charge: a bad input file
+        raise ConfigError(f"snapshot {ic.path}: {err}") from None
     state = SimState.from_fields(grid, 0.0, E, n_e, n_p, p_e, p_p)
     _check_fields(0.0, state.u)
     # a finite state whose energy overflows has no energy to record: the
@@ -476,22 +488,13 @@ def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams)
     finite = np.isfinite(density)
     for name, rows in (("field", finite[:1]), ("kinetic", finite[1:])):
         if not rows.all():
-            cell = int(np.argmin(rows.all(axis=0)))
-            raise NumericalBreakdownError(
-                f"{name} energy density overflows at t = 0, cell {cell}", t=0.0, cell=cell
-            )
+            raise _breakdown(f"{name} energy density overflows", 0.0, state.u, ~rows.all(axis=0))
     if not math.isfinite(integrate(density, grid.dx)):
-        cell = int(np.argmax(density.max(axis=0)))  # the cell of the largest energy density
-        raise NumericalBreakdownError(
-            f"total energy overflows at t = 0, cell {cell}", t=0.0, cell=cell
-        )
+        # at the cell of the largest energy density
+        raise _breakdown("total energy overflows", 0.0, state.u, density.max(axis=0))
     neg = (state.n <= 0.0).any(axis=0)  # initial data must be strictly positive
     if neg.any():
-        cell = int(np.argmax(neg))
-        raise NumericalBreakdownError(
-            f"density <= 0 in the initial state at cell {cell}: "
-            f"n_e = {n_e[cell]:.6g}, n_p = {n_p[cell]:.6g}", t=0.0, cell=cell
-        )
+        raise _breakdown("density <= 0 in the initial state", 0.0, state.u, neg)
     return state
 
 

@@ -38,6 +38,42 @@ def write_config(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+# one config per breakdown check: the finite scan of a step, the density
+# check of a stage, and the four checks of the initial state, each at its cell
+BREAKDOWNS = {
+    "non_finite": (
+        "grid.cells = 64\nphysics.N0 = 1e150",
+        "non-finite field value at t = 300, cell 0: "
+        "E = inf, n_e = inf, n_p = inf, p_e = 9.37197e+289, p_p = -9.37197e+289",
+    ),
+    "wave_breaking": (
+        "grid.cells = 512\nsolver.stop_on_negative_density = on",
+        "density <= 0 (cold-fluid wave breaking) at t = 1293.75, cell 144: "
+        "E = 0.0221534, n_e = -0.131812, n_p = 0.00409368, p_e = 0.431709, p_p = -10.0303",
+    ),
+    "field_energy": (
+        "grid.cells = 64\nphysics.N0 = 1e300",
+        "field energy density overflows at t = 0, cell 0: "
+        "E = 9.97021e+292, n_e = 1.01, n_p = 0.01, p_e = 0, p_p = 0",
+    ),
+    "kinetic_energy": (  # a restart whose p_e is 1e308 in cell 3
+        "grid.cells = 64\nic.kind = file\nic.path = {snapshot}",
+        "kinetic energy density overflows at t = 0, cell 3: "
+        "E = 0, n_e = 1.01, n_p = 0.01, p_e = 1e+308, p_p = 0",
+    ),
+    "total_energy": (
+        "grid.cells = 64\nic.base_p = 1e308",
+        "total energy overflows at t = 0, cell 0: "
+        "E = 0, n_e = 1e+308, n_p = 1e+308, p_e = 0, p_p = 0",
+    ),
+    "initial_density": (
+        "grid.cells = 64\nic.amplitude = -10",
+        "density <= 0 in the initial state at t = 0, cell 33: "
+        "E = -2.14168, n_e = -0.800227, n_p = 0.01, p_e = 0, p_p = 0",
+    ),
+}
+
+
 class TestRunCommand:
     def test_successful_run(self, tmp_path, capsys):
         outdir = tmp_path / "out"
@@ -145,12 +181,14 @@ class TestRunCommand:
             (
                 "physics.N0 = 1e300",
                 2,
-                "numerical breakdown: field energy density overflows at t = 0, cell 0\n",
+                "numerical breakdown: field energy density overflows at t = 0, cell 0: "
+                "E = 9.97021e+292, n_e = 1.01, n_p = 0.01, p_e = 0, p_p = 0\n",
             ),
             (
                 "physics.N0 = 1e150",
                 2,
-                "numerical breakdown: non-finite field value at t = 300, cell 0\n",
+                "numerical breakdown: non-finite field value at t = 300, cell 0: "
+                "E = inf, n_e = inf, n_p = inf, p_e = 9.37197e+289, p_p = -9.37197e+289\n",
             ),
             (
                 "ic.amplitude = 1e300",
@@ -168,6 +206,18 @@ class TestRunCommand:
             assert cli_main(["run", cfg]) == code
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("value", ["0", "-0.5"])
+    def test_non_positive_base_p_is_config_error(self, tmp_path, capsys, value):
+        # unchecked, n_p = base_p passed the parser and exited 2 at t = 0
+        cfg = write_config(
+            tmp_path, f"grid.cells = 64\nic.base_p = {value}\noutput.dir = {tmp_path / 'out'}\n"
+        )
+        assert cli_main(["run", cfg]) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: ic.base_p must be positive, got {float(value)}\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_unresolved_gaussian_is_config_error(self, tmp_path, capsys):
         # unchecked, (x/L)^2 overflows and the run solves a uniform plasma,
@@ -207,9 +257,26 @@ class TestRunCommand:
         cfg = write_config(tmp_path, f"grid.cells = 64\nic.amplitude = -10\noutput.dir = {outdir}\n")
         assert cli_main(["run", cfg]) == 2
         assert capsys.readouterr().err == (
-            "numerical breakdown: density <= 0 in the initial state at cell 33: "
-            "n_e = -0.800227, n_p = 0.01\n"
+            "numerical breakdown: density <= 0 in the initial state at t = 0, cell 33: "
+            "E = -2.14168, n_e = -0.800227, n_p = 0.01, p_e = 0, p_p = 0\n"
         )
+
+    @pytest.mark.parametrize("case", sorted(BREAKDOWNS))
+    def test_breakdown_names_t_cell_and_fields(self, tmp_path, capsys, case):
+        # every breakdown is reported in one line by cli_main after the
+        # partial outputs are flushed, with the five field values in its cell
+        lines, reason = BREAKDOWNS[case]
+        m = 64
+        p_e = np.zeros(m)
+        p_e[3] = 1e308
+        fields = (np.zeros(m), np.full(m, 1.01), np.full(m, 0.01), p_e, np.zeros(m))
+        state = SimState.from_fields(Grid1D(24000.0, m), 0.0, *fields)
+        snapshot = write_snapshot(state, 0, tmp_path)  # read by the restart case
+        outdir = tmp_path / "out"
+        cfg = write_config(tmp_path, f"{lines.format(snapshot=snapshot)}\noutput.dir = {outdir}\n")
+        assert cli_main(["run", cfg]) == 2
+        assert capsys.readouterr().err == f"numerical breakdown: {reason}\n"
+        assert (outdir / "series.csv").exists()
 
     def test_strict_positivity_breakdown_mid_run(self, tmp_path, capsys):
         outdir = tmp_path / "out"
@@ -412,7 +479,8 @@ class TestBadRestartInput:
         )
         assert cli_main(["run", cfg]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: net charge integral -4.8")
+        assert err.count("\n") == 1
+        assert err.startswith(f"configuration error: snapshot {snapshot}: net charge integral -4.8")
         assert not (tmp_path / "out").exists()
 
 

@@ -202,7 +202,10 @@ def test_overflowing_restart_momentum_stops_at_t0(tmp_path, monkeypatch, capsys)
     code, err, caught = run_case(tmp_path, monkeypatch, capsys, config, snapshot)
     assert_clean(code, err, caught, "p_e = 1e308")
     assert code == 2
-    assert err == "numerical breakdown: kinetic energy density overflows at t = 0, cell 3\n"
+    assert err == (
+        "numerical breakdown: kinetic energy density overflows at t = 0, cell 3: "
+        "E = 0, n_e = 1.01, n_p = 0.01, p_e = 1e+308, p_p = -0\n"
+    )
     # the breakdown leaves the series header and no row holding inf
     assert (tmp_path / "out" / "series.csv").read_text().count("\n") == 1
 

@@ -450,6 +450,11 @@ class TestInitialCondition:
         with pytest.raises(InvalidParameterError):
             InitialCondition(kind="vortex")
 
+    @pytest.mark.parametrize("base_p", [0.0, -0.5, math.nan])
+    def test_non_positive_base_p_rejected(self, base_p):
+        with pytest.raises(InvalidParameterError, match="ic.base_p must be positive"):
+            InitialCondition(base_p=base_p)
+
     def test_negative_initial_density_rejected(self):
         grid = Grid1D(half_width=24000.0, cells=2048)
         with pytest.raises(NumericalBreakdownError):
