@@ -65,10 +65,10 @@ class PhysicsParams:
         self.omega_pe_sq = derived_plasma_frequency(self.N0, self.alpha) ** 2
 
 
-def _checked(E, name="E"):
+def _checked(E):
     arr = np.asarray(E, dtype=np.float64)
     if np.isnan(arr).any():
-        raise InvalidStateError(f"{name} contains NaN")
+        raise InvalidStateError("E contains NaN")
     return arr
 
 
@@ -139,18 +139,11 @@ def schwinger_rate_si(E_field):
     rate = c / ((2*pi)^3 * lambda^4) * (E / E_crit)^2 * exp(-pi * E_crit / |E|)
 
     with lambda the Compton wavelength and E_crit the critical field, both
-    from the CODATA values in `constants`.
+    from the CODATA values in `constants`: the normalized rate at N0 = 1 of
+    E / E_crit, times SI_RATE_PREFACTOR.
     """
-    arr = _checked(E_field, name="E_field")
-    abs_e = np.abs(arr)
-    zero = abs_e == 0.0
-    safe = np.where(zero, 1.0, abs_e)
-    ratio = arr / constants.E_CRIT
     with np.errstate(over="ignore"):
-        rate = np.where(
-            zero, 0.0, SI_RATE_PREFACTOR * (ratio * ratio) * np.exp(-np.pi * constants.E_CRIT / safe)
-        )
-    return _maybe_scalar(rate)
+        return SI_RATE_PREFACTOR * schwinger_rate_norm(np.divide(E_field, constants.E_CRIT), 1.0)
 
 
 def recombination_momentum_exchange(p_self, p_other, n_other, a: float):

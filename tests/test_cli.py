@@ -190,11 +190,12 @@ class TestRunCommand:
                 "numerical breakdown: non-finite field value at t = 300, cell 0: "
                 "E = inf, n_e = inf, n_p = inf, p_e = 9.37197e+289, p_p = -9.37197e+289\n",
             ),
-            (
+            (  # the odd Gaussian is neutral: only rounding at 1e300 charges it
                 "ic.amplitude = 1e300",
                 1,
-                "error: net charge integral -5.336706e+286 exceeds tolerance 4.800000e-04; "
-                "the periodic field equation has no solution\n",
+                "configuration error: ic.amplitude = 1e+300 and ic.base_p = 0.01 charge the "
+                "neutral gaussian state by rounding: net charge integral -5.336706e+286 "
+                "exceeds tolerance 4.800000e-04; the periodic field equation has no solution\n",
             ),
         ],
         ids=["N0", "N0_mid_run", "amplitude"],
@@ -234,6 +235,36 @@ class TestRunCommand:
             "(grid dx = 750.0); the Gaussian is not resolved\n"
         )
         assert not (tmp_path / "out").exists()
+
+    def test_charged_sine_names_amplitude_and_base_p(self, tmp_path, capsys):
+        # the whole-period sine is neutral, but 1 + 1e16 rounds: the charge
+        # comes from the background, so the message names it beside ic.amplitude
+        cfg = write_config(
+            tmp_path,
+            f"grid.cells = 64\nic.kind = sine\nic.base_p = 1e16\noutput.dir = {tmp_path / 'out'}\n",
+        )
+        assert cli_main(["run", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: ic.amplitude = 2.0 and ic.base_p = 1e+16 charge the neutral "
+            "sine state by rounding: net charge integral 6.000000e+04 exceeds tolerance "
+            "4.800000e-04; the periodic field equation has no solution\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_snapshot_files_are_numbered_in_order(self, tmp_path):
+        # 5 steps of 300: snapshots at step 0, every 3rd step and the last
+        outdir = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, f"grid.cells = 64\noutput.snapshot_every = 3\noutput.dir = {outdir}\n"
+        )
+        assert cli_main(["run", cfg]) == 0
+        snapshots = sorted(outdir.glob("fields_*.csv"))
+        assert [p.name for p in snapshots] == [f"fields_00000{i}.csv" for i in range(3)]
+        assert [p.read_text().splitlines()[0] for p in snapshots] == [
+            "# t = 0.0",
+            "# t = 900.0",
+            "# t = 1500.0",
+        ]
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         assert cli_main(["run", str(tmp_path / "absent.cfg")]) == 3
@@ -466,6 +497,28 @@ class TestBadRestartInput:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("configuration error: ")
         assert str(snapshot) in err and "x column" in err
+
+    def test_exact_zero_density_is_refused(self, tmp_path, capsys):
+        # kills `n <= 0` -> `n < 0` in the initial state's check: a neutral
+        # snapshot (n_e = 1 where n_p = 0) with one exact zero density
+        m = 64
+        n_e, n_p = np.full(m, 1.01), np.full(m, 0.01)
+        n_e[10], n_p[10] = 1.0, 0.0
+        zero = np.zeros(m)
+        state = SimState.from_fields(Grid1D(24000.0, m), 0.0, zero, n_e, n_p, zero, zero)
+        snapshot = write_snapshot(state, 0, tmp_path)
+        cfg = write_config(
+            tmp_path,
+            f"grid.cells = {m}\nic.kind = file\nic.path = {snapshot}\n"
+            f"output.dir = {tmp_path / 'out'}\n",
+        )
+        assert cli_main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(
+            "numerical breakdown: density <= 0 in the initial state at t = 0, cell 10: "
+        )
+        assert "n_e = 1, n_p = 0, p_e = 0, p_p = 0" in err
 
     def test_charged_snapshot_has_no_field(self, tmp_path, capsys):
         # a generated state is neutral by construction; a restart is the one

@@ -51,3 +51,35 @@ def test_pinned_record(records, index):
 
 def test_gauss_residual_at_rounding_level(records):
     assert max(rec.gauss_residual for rec in records) <= GAUSS_RESIDUAL_BOUND
+
+
+# Converged physics at t = 1125, before the caustic, and the relative time
+# error of the reference run's record there: (name, converged, measured error)
+CONVERGED_1125 = (
+    ("delta_pairs", 1064.206528006, 3.4e-4),
+    ("total_energy", 10058984.28267, 5.1e-5),
+    ("max_abs_E", 0.3222663294, 2.0e-5),
+)
+
+
+@pytest.mark.parametrize(
+    "name, converged, measured", CONVERGED_1125, ids=[c[0] for c in CONVERGED_1125]
+)
+def test_record_within_time_error_of_converged_physics(records, name, converged, measured):
+    """The reference run at t = 1125 lies within 1.5 times its measured time
+    error of the converged physics, so a change of rounding or of the scheme
+    is checked against the physics and not only against the seed's own pins.
+
+    The converged values come from `rk4_step` on the default config (M = 2048)
+    through one workspace: 683 steps at cfl 0.0015625 to t = 25 (the step of
+    `_plan_steps` for that cfl and t_end), then 1878 steps at cfl 0.025 for the
+    remaining 1100, and `make_record` of the final state. Doubling the first
+    step (cfl 0.003125) moves delta_pairs by 4e-9, halving the second (cfl
+    0.0125) by 4e-10, and the spatial error is small:
+    M = 1024, 4096 and 8192 with the same steps give delta_pairs 1064.2065362,
+    1064.2065285 and 1064.2065290. The measured errors are those of the seed's
+    pins at index 120 against these values.
+    """
+    rec = records[120]
+    assert rec.t == 1125.0
+    assert abs(getattr(rec, name) - converged) <= 1.5 * measured * converged

@@ -156,6 +156,11 @@ class TestRhs:
         with pytest.raises(NumericalBreakdownError) as excinfo:
             rhs(state, PARAMS, SolverOptions(t_end=1.0, stop_on_negative_density=True))
         assert excinfo.value.cell == 7
+        # an exact 0 stops too: kills `n <= 0` -> `n < 0` in _check_positive_densities
+        state.n_p[7] = 0.0
+        with pytest.raises(NumericalBreakdownError) as excinfo:
+            rhs(state, PARAMS, SolverOptions(t_end=1.0, stop_on_negative_density=True))
+        assert excinfo.value.cell == 7
 
 
 # The model's terms, off and on, each with the (cfl, steps) of its Gauss-law
@@ -247,8 +252,20 @@ class TestRk4Step:
     def test_step_bound_enforced(self):
         grid = Grid1D(half_width=100.0, cells=64)
         state = uniform_state(grid)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError) as excinfo:
             rk4_step(state, 0.6 * grid.dx, PARAMS, SolverOptions(t_end=1.0))
+        # kills the mutants of the bound's numbers in the message
+        assert str(excinfo.value) == "dt = 1.875 violates the step bound dt <= 0.5*dx = 1.5625"
+        # kills the mutants of `0.0 < dt <= CFL_MAX * dx * (1.0 + 1e-12)`:
+        # dt = 0 and the next float beyond the rounding allowance are refused,
+        # dt = CFL_MAX*dx and the allowance itself are accepted
+        with pytest.raises(InvalidParameterError):
+            rk4_step(state, 0.0, PARAMS, SolverOptions(t_end=1.0))
+        edge = sv.CFL_MAX * grid.dx * (1.0 + 1e-12)
+        for dt in (sv.CFL_MAX * grid.dx, edge):
+            assert rk4_step(state, dt, PARAMS, SolverOptions(t_end=1.0)).t == dt
+        with pytest.raises(InvalidParameterError):
+            rk4_step(state, np.nextafter(edge, np.inf), PARAMS, SolverOptions(t_end=1.0))
 
     def test_one_langmuir_period_returns_profile(self):
         grid = Grid1D(half_width=2560.0, cells=256)
@@ -366,6 +383,13 @@ class TestRk4Step:
         assert message.startswith("solver.bohm = on")
         assert ("solver.nu_h" in message) == bool(nu_h)
         assert f"the largest dt allowed is {largest:.6g}" in message
+        # kills the mutants of the message's numbers: a step 1.5 times the
+        # largest uses 1.5 of the rule, and the largest is cfl = largest/dx
+        with pytest.raises(InvalidParameterError) as excinfo:
+            rk4_step(state, 1.5 * largest, PARAMS, opts)
+        assert str(excinfo.value).endswith(
+            f"(here 1.5); the largest dt allowed is {largest:.6g} (cfl {largest / grid.dx:.6g})"
+        )
 
     @pytest.mark.parametrize("bohm", [False, True], ids=["bohm_off", "bohm_on"])
     @pytest.mark.parametrize("displacement_terms", [False, True], ids=["disp_off", "disp_on"])
@@ -446,6 +470,23 @@ class TestInitialCondition:
             assert np.all(state.E == 0.0)
             assert np.all(state.n_e == 1.0 + base_p) and np.all(state.n_p == base_p)
 
+    @pytest.mark.parametrize("mode, amplitude", [(1, 0.3), (3, -0.5)])
+    def test_sine_profile(self, mode, amplitude):
+        # kills the mutants of n_e = base_e + amplitude*sin(k*x) and of
+        # k = pi*mode/X, which mirror-invariant measurements cannot see
+        grid = Grid1D(half_width=2400.0, cells=64)
+        ic = InitialCondition(kind="sine", base_p=0.25, amplitude=amplitude, mode=mode)
+        state = initial_condition(ic, grid, PARAMS)
+        k = math.pi * mode / 2400.0
+        assert np.array_equal(state.n_e, (1.0 + 0.25) + amplitude * np.sin(k * grid.x))
+        assert np.all(state.n_p == 0.25)
+
+    def test_gaussian_one_cell_wide_is_accepted(self):
+        # kills `ic.L < grid.dx` -> `<=`: only a Gaussian narrower than a cell is refused
+        grid = Grid1D(half_width=24000.0, cells=64)
+        state = initial_condition(InitialCondition(L=grid.dx), grid, PARAMS)
+        assert np.max(state.n_e) > 1.01
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidParameterError):
             InitialCondition(kind="vortex")
@@ -484,6 +525,10 @@ class TestSolverOptions:
         # cfl*dx = 9.375 shrinks to 21 / 3
         n, dt = sv._plan_steps(SolverOptions(cfl=0.4, t_end=21.0), grid.dx)
         assert (n, dt) == (3, 7.0)
+        # kills the mutants of `max(1, ...)`: a t_end below one step is one
+        # step, and so is one whose t_end/dt underflows to 0
+        assert sv._plan_steps(SolverOptions(t_end=1.0), grid.dx) == (1, 1.0)
+        assert sv._plan_steps(SolverOptions(t_end=5e-324), grid.dx) == (1, 5e-324)
 
     def test_step_that_cannot_advance_t_end_is_refused(self):
         # below half a rounding unit of t_end, t_end + dt == t_end: the plan
@@ -548,6 +593,18 @@ class TestRun:
         result = run(config)
         assert [rec.t for rec in result.records[1:]] == [250.0 / 3, 500.0 / 3, 250.0]
         assert result.state.t == 250.0
+
+    def test_snapshot_numbers_count_the_snapshots(self):
+        # kills the mutants of the snapshot numbers (`len(snapshots) + 1`, a
+        # first index of 1): 5 steps of 300, a snapshot at step 0, every 3rd
+        # step and the last
+        config = _MiniConfig(
+            grid=Grid1D(half_width=24000.0, cells=64),
+            solver=SolverOptions(t_end=1500.0),
+            output=OutputConfig(series_every=1, snapshot_every=3),
+        )
+        result = run(config)
+        assert [(i, s.t) for i, s in result.snapshots] == [(0, 0.0), (1, 900.0), (2, 1500.0)]
 
     def test_final_record_at_t_end(self):
         config = _MiniConfig(solver=SolverOptions(t_end=300.0))
