@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChargeImbalanceError, InvalidParameterError, InvalidStateError
+from .errors import ChargeImbalanceError, InvalidParameterError
 
 # Relative tolerance (per unit domain length) on the net charge when solving
 # for the initial field; a periodic solution only exists for a neutral box.
@@ -153,15 +153,12 @@ def hyperdiffusion(f: np.ndarray, nu_h: float, out=None, tmp=None) -> np.ndarray
 def bohm_potential(n: np.ndarray, gamma: np.ndarray, dx: float, out=None, s=None, tmp=None):
     """Quantum dispersion potential (n/gamma)^{-1/2} d2/dx2 (n/gamma)^{1/2} (spatial part).
 
-    `bohm_potential(n, gamma, dx)` checks that n > 0 and returns a new array.
-    In-place form, for a caller that has already stopped on n <= 0: the
-    potential is written into `out`, of n's shape, and returned, and the
-    padded buffer `s` receives (n/gamma)^{1/2}. In that form n and gamma may
-    be stacks of rows, one per species, with `s` a stack of padded rows.
+    Needs n > 0, which the caller checks. `bohm_potential(n, gamma, dx)`
+    returns a new array. The in-place form writes the potential into `out`,
+    of n's shape, and (n/gamma)^{1/2} into the padded buffer `s`; there n
+    and gamma may be stacks of rows, one per species, `s` of padded rows.
     """
     if out is None:
-        if (np.asarray(n) <= 0.0).any():
-            raise InvalidStateError("density must be strictly positive for the Bohm potential")
         out, s = np.empty(len(n)), np.empty(len(n) + 4)
     root = s[..., 2:-2]
     np.divide(n, gamma, out=root)

@@ -190,20 +190,20 @@ class Workspace:
     cells. With the Bohm term on, rows 4-5 hold the padded root
     (n_s/g_s)^{1/2} and rhs writes g_s - Q_s/2 over the gammas. After the
     stencil, hyperdiffusion pads the state's five rows into rows 0-4, with
-    (5, M) scratch `damp_tmp`. The RK4 derivatives `k`, the stage state
-    `stage` and the stencil scratch `tmp` are (5, M) arrays like `u`.
+    scratch `stage`. The RK4 derivatives `k`, the stage state `stage` and
+    the stencil scratch `tmp` are (5, M) arrays like `u`.
     `primed` is the state whose gamma and phi the buffers hold, or None;
     rhs reuses them for that state instead of recomputing them and
     rescanning it, and consumes them, since it may write over the gammas.
-    The solver never writes into a state's array, so the state object
-    identifies its values. Between steps pad rows 0-1, scratch and tmp are
-    free for the series record.
+    The solver never writes into a state's array but one it built in the
+    workspace, so the state object identifies its values. Between steps pad
+    rows 0-1, scratch and tmp are free for the series record.
     """
 
     def __init__(self, cells: int):
-        shapes = [(6, cells + 4), (cells,), (cells,), (5, cells)] + [(5, cells)] * 5
+        shapes = [(6, cells + 4), (cells,), (cells,), (5, cells)] + [(5, cells)] * 4
         skewed = (_at_page_offset(shape, i * BUFFER_SKEW) for i, shape in enumerate(shapes))
-        self.pad, self.phi, self.scratch, self.tmp, k1, k2, k3, self.stage, self.damp_tmp = skewed
+        self.pad, self.phi, self.scratch, self.tmp, k1, k2, k3, self.stage = skewed
         self.k = (k1, k2, k3)
         self.gamma = self.pad[2:4, 2:-2]
         self.primed = None

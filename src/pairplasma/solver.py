@@ -35,14 +35,15 @@ past which the fluid description is no longer trustworthy pointwise. The
 integrator requires strictly positive densities in the initial data and
 aborts on non-finite values, but by default it integrates through density
 zero-crossings at a caustic rather than stopping. The scheme stays finite
-there, but past the caustic the run does not converge in M: with the
-default physics at dt = 0.586, the t = 1500 values of M <= 4096 agree to
-about 1e-8, M = 8192 moves delta_pairs by 1.7e-4 (relative) and max|E| by
-71%, and M = 16384 moves them by 5.4% and 6.3x. Hyperdiffusion
-(nu_h = 0.1) restores convergence. Set `stop_on_negative_density` to treat
-any n <= 0 as a hard stop instead. The Bohm and recombination terms are
-undefined at n <= 0, so with either on the same stop applies. No clamping
-or smoothing is ever applied.
+there, but past the caustic the run does not converge in M: with the default
+physics at dt = 0.586, the t = 1500 values of M <= 4096 agree to about 1e-8,
+M = 8192 moves delta_pairs by 1.7e-4 (relative) and max|E| by 71%, and
+M = 16384 moves them by 5.4% and 6.3x. Hyperdiffusion (nu_h = 0.1) restores
+convergence. Set `stop_on_negative_density` to treat any n <= 0 as a hard
+stop instead; with the Bohm or recombination term on, undefined there, it
+always applies. It scans the stage states, so at cfl 0.4 it stops at
+t = 1293.75 (M = 512) and 1195.31 (M = 2048), before the first step states
+with n <= 0 at 1312.5 and 1218.75. No clamping or smoothing is ever applied.
 
 A state stores its five fields as the rows of one (5, M) array `u` (E, n_e,
 n_p, p_e, p_p), and the derivatives, stage states and RK4 sums are (5, M)
@@ -54,20 +55,19 @@ g_s - Q_s/2). The results are bit-identical to evaluating every
 field on its own: each operation is elementwise, in the same order.
 
 Finite checks run on every state the integrator evaluates, each once.
-`initial_condition` scans the initial state and `rk4_step` scans the state
-it returns; `rhs` scans its input unless its workspace already holds that
-state's gamma and phi (below), and consumes them. `rk4_step` leaves its
-workspace primed for the state it returns, so stage 1 of the next step
-through the same workspace, in `run` or in a caller's own loop, skips the
-scan. So a step makes four scans: the inputs of stages 2-4 and its result, one `isfinite`
-over all five rows each. Derivatives are not scanned on their own, because
-a non-finite derivative makes the next stage state or the step result
+`initial_condition` scans the initial state and `rk4_step` the state it
+returns; `rhs` scans its input unless its workspace holds that state's
+gamma and phi (below), and consumes them. `rk4_step` leaves its workspace
+primed for the state it returns, so stage 1 of the next step through the
+same workspace, in `run` or in a caller's own loop, skips the scan: a step
+makes four scans, of the inputs of stages 2-4 and of its result, one
+`isfinite` over all five rows each. Derivatives are not scanned, because a
+non-finite derivative makes the next stage state or the step result
 non-finite. Each check raises NumericalBreakdownError (`_breakdown`) naming
 the time, the first offending cell (column), whichever row holds the bad
-value, and the five field values there. With the
-Bohm term, recombination or `stop_on_negative_density` on, `rhs` also
-checks n > 0 once per stage; the Bohm potential and the recombination terms
-are then evaluated in place without a second density scan.
+value, and the five field values there. With the Bohm term, recombination
+or `stop_on_negative_density` on, `rhs` also checks n > 0 once per stage,
+and evaluates those terms in place without a second density scan.
 
 Each stage evaluates gamma_s and the guarded factor phi = exp(-pi/|E|)/N0
 (`kernels.pair_factor`) once and shares them: q0 = E^2 phi and
@@ -78,11 +78,10 @@ next step's stage 1; the initial state's record primes it.
 
 `run` allocates one `kernels.Workspace` after `initial_condition` and steps
 through it, with results bit-identical to evaluating each formula into new
-arrays. A workspace belongs to one run (or one caller) and is not shared.
-`rk4_step` still returns a state with a new array, so states and snapshots
-never alias the workspace. `rhs` and `rk4_step` called without a workspace
-build a fresh one, so they stay pure and may be evaluated concurrently on
-snapshots.
+arrays. A workspace belongs to one run (or one caller) and is not shared;
+`rk4_step` returns a state with a new array, so states and snapshots never
+alias it. Without a workspace `rhs` and `rk4_step` build a fresh one, so
+they stay pure and may be evaluated concurrently on snapshots.
 """
 
 import math
@@ -300,8 +299,8 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, 
     Checks that its input is finite unless `work` is primed for this state,
     and leaves `work` unprimed; the derivatives are not scanned (rk4_step
     scans the state it returns). Uses a new Workspace when `work` is None,
-    and writes into the (5, M) array `out` when given, else into a new one. Each species pair
-    (n_e, n_p), (p_e, p_p) is computed by one call on its two rows.
+    and writes into the (5, M) array `out` when given, else into a new one;
+    with nu_h > 0 it also writes over `work.stage`, as scratch.
     """
     if work is None:
         work = Workspace(state.grid.cells)
@@ -359,10 +358,10 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, 
         dp += drag
 
     if opts.nu_h != 0.0:
-        # `pad` is free once the stencil has run; E is damped as well, so
-        # that the Gauss law stays an invariant (see the module docstring)
+        # `pad` is free once the stencil has run, `stage` once u is copied;
+        # E is damped too, so the Gauss law stays an invariant (module docstring)
         pad[:5, 2:-2] = u
-        out += hyperdiffusion(pad[:5], opts.nu_h, out=tmp, tmp=work.damp_tmp)
+        out += hyperdiffusion(pad[:5], opts.nu_h, out=tmp, tmp=work.stage)
 
     return out
 

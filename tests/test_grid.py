@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pairplasma
-from pairplasma.errors import ChargeImbalanceError, InvalidParameterError, InvalidStateError
+from pairplasma.errors import ChargeImbalanceError, InvalidParameterError
 from pairplasma.grid import (
     Grid1D,
     bohm_potential,
@@ -150,13 +150,6 @@ class TestBohmPotential:
         got = bohm_potential(n, np.ones(grid.cells), grid.dx)
         mask = np.abs(grid.x) <= grid.half_width / 2
         assert np.max(np.abs(got[mask] - 1.0 / w**2)) < 1e-8
-
-    def test_rejects_nonpositive_density(self):
-        grid = Grid1D(half_width=5.0, cells=32)
-        n = np.ones(32)
-        n[3] = 0.0
-        with pytest.raises(InvalidStateError):
-            bohm_potential(n, np.ones(32), grid.dx)
 
 
 def roll_ddx(f, dx):

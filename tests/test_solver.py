@@ -584,6 +584,19 @@ class TestRun:
         assert len(excinfo.value.records) > 10
         assert excinfo.value.records[0].t == 0.0
 
+    def test_first_step_state_with_negative_density(self):
+        # the default run at M = 512, cfl 0.4 (dt = 37.5): the first state
+        # rk4_step returns with some n <= 0 is step 35's, at t = 1312.5 in
+        # cell 144; stop_on_negative_density scans the stage states too and
+        # stops half a step earlier, at t = 1293.75 (pinned in test_cli)
+        grid, params, opts = Grid1D(cells=512), PhysicsParams(), SolverOptions(t_end=1500.0)
+        state, work = initial_condition(InitialCondition(), grid, params), Workspace(512)
+        for step in range(1, 36):
+            assert (state.n > 0.0).all()
+            state = rk4_step(state, 0.4 * grid.dx, params, opts, work)
+        negative = (state.n <= 0.0).any(axis=0)
+        assert (step, state.t, int(np.argmax(negative))) == (35, 1312.5, 144)
+
     def test_step_lands_on_t_end(self):
         # dx = 750, so cfl*dx = 100 and 250 / 100 is not whole: the step
         # shrinks to 250 / 3 rather than a fourth step of 100 ending at t = 300
@@ -829,11 +842,11 @@ class TestWorkspaceMemory:
         work = made[0]
         buffers = [a for value in vars(work).values() for a in arrays_in(value)]
         cells = _MiniConfig().grid.cells
-        # nine disjoint buffers, each BUFFER_SKEW bytes further into a page
+        # eight disjoint buffers, each BUFFER_SKEW bytes further into a page
         # than the one before (against 4K aliasing), one of them padded: the
         # stencil stack; gamma is a view of it
-        own = [work.pad, work.phi, work.scratch, work.tmp, *work.k, work.stage, work.damp_tmp]
-        assert [a.shape for a in own] == [(6, cells + 4), (cells,), (cells,)] + [(5, cells)] * 6
+        own = [work.pad, work.phi, work.scratch, work.tmp, *work.k, work.stage]
+        assert [a.shape for a in own] == [(6, cells + 4), (cells,), (cells,)] + [(5, cells)] * 5
         assert len(buffers) == len(own) + 1 and np.shares_memory(work.gamma, work.pad)
         for i, a in enumerate(own):
             assert not any(np.shares_memory(a, b) for b in own[i + 1 :])
@@ -983,8 +996,7 @@ class TestScanCounts:
 
     def test_bohm_term_skips_second_density_scan(self, monkeypatch):
         # rhs has checked n > 0 once; it calls the Bohm potential once, on both
-        # species' rows, in the in-place form, which does not scan again (the
-        # public form does, see test_grid)
+        # species' rows, in the in-place form, which scans nothing
         scans, forms = [], []
         check, potential = sv._check_positive_densities, sv.bohm_potential
 
