@@ -21,7 +21,6 @@ from .diagnostics import (
 from .errors import (
     ChargeImbalanceError,
     ConfigError,
-    InvalidParameterError,
     InvalidStateError,
     NumericalBreakdownError,
     PairPlasmaError,

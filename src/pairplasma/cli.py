@@ -6,7 +6,9 @@
     pairplasma version         print the package version
 
 Exit codes: 0 success, 1 configuration error, 2 numerical breakdown (or
-failing check), 3 I/O error.
+failing check), 3 I/O error. Every package error is a `ConfigError` or a
+`NumericalBreakdownError`, so `cli_main` has one `except` arm per exit
+code: `ConfigError` 1, `NumericalBreakdownError` 2, `OSError` 3.
 
 `run` writes its outputs once the solve has returned, complete or broken
 down: series.csv, then the snapshots in up to one process per available
@@ -34,7 +36,7 @@ from pathlib import Path
 
 from . import __version__, solver
 from .config import RunConfig, format_config, parse_config
-from .errors import ConfigError, InvalidParameterError, NumericalBreakdownError, PairPlasmaError
+from .errors import ConfigError, NumericalBreakdownError
 from .output import SERIES_FILENAME, write_manifest, write_series, write_snapshots
 
 EXIT_OK = 0
@@ -128,7 +130,7 @@ def cli_main(argv=None) -> int:
     gc.freeze()
     try:
         return args.func(args)
-    except (ConfigError, InvalidParameterError) as err:
+    except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalBreakdownError as err:
@@ -137,9 +139,6 @@ def cli_main(argv=None) -> int:
     except OSError as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return EXIT_IO
-    except PairPlasmaError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 def main():

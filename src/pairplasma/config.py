@@ -29,7 +29,7 @@ import math
 import typing
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError, InvalidParameterError
+from .errors import ConfigError
 from .grid import Grid1D
 from .kernels import PhysicsParams
 from .solver import InitialCondition, SolverOptions, check_config_path
@@ -43,7 +43,7 @@ class OutputConfig:
 
     def __post_init__(self):
         if self.series_every < 0 or self.snapshot_every < 0:
-            raise InvalidParameterError("output cadences must be >= 0 (0 disables)")
+            raise ConfigError("output cadences must be >= 0 (0 disables)")
         check_config_path("output.dir", self.dir)
 
 
@@ -126,10 +126,7 @@ def parse_config(text: str) -> RunConfig:
     def section(name):
         return {key: v for (sec, key), v in values.items() if sec == name}
 
-    try:
-        return RunConfig(**{name: cls(**section(name)) for name, cls in _SECTIONS.items()})
-    except InvalidParameterError as err:
-        raise ConfigError(str(err)) from None
+    return RunConfig(**{name: cls(**section(name)) for name, cls in _SECTIONS.items()})
 
 
 def _fmt_value(value) -> str:

@@ -1,19 +1,24 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every package error is one of two kinds, one per exit code of
+`pairplasma run` (see `cli`): a `ConfigError` (bad input, exit 1) or a
+`NumericalBreakdownError` (the solution left the model, exit 2).
+"""
 
 
 class PairPlasmaError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidParameterError(PairPlasmaError):
-    """A physical or numerical parameter is outside its valid range."""
+class ConfigError(PairPlasmaError):
+    """Bad input: config text, a value out of range, or a snapshot the config names."""
 
 
-class InvalidStateError(PairPlasmaError):
+class InvalidStateError(ConfigError):
     """A field or kernel argument violates a state invariant (NaN, negative density)."""
 
 
-class ChargeImbalanceError(PairPlasmaError):
+class ChargeImbalanceError(ConfigError):
     """The periodic domain carries net charge, so no periodic field solution exists."""
 
     def __init__(self, message: str, residual: float):
@@ -36,7 +41,3 @@ class NumericalBreakdownError(PairPlasmaError):
         self.cell = cell
         self.records = []
         self.snapshots = []
-
-
-class ConfigError(PairPlasmaError):
-    """Configuration text, or a snapshot file it names as input, failed to parse or validate."""

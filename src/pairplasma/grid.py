@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChargeImbalanceError, InvalidParameterError
+from .errors import ChargeImbalanceError, ConfigError
 
 # Relative tolerance (per unit domain length) on the net charge when solving
 # for the initial field; a periodic solution only exists for a neutral box.
@@ -38,15 +38,20 @@ class Grid1D:
     x: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.half_width > 0.0 and np.isfinite(self.half_width)):
-            raise InvalidParameterError(f"half_width must be positive, got {self.half_width}")
+        if not self.half_width > 0.0:
+            raise ConfigError(f"half_width must be positive, got {self.half_width}")
         if self.cells < 8 or self.cells % 2 != 0:
-            raise InvalidParameterError(f"cells must be even and >= 8, got {self.cells}")
+            raise ConfigError(f"cells must be even and >= 8, got {self.cells}")
+        if not np.isfinite(self.length):  # nor is dx = length / cells
+            raise ConfigError(
+                f"grid.half_width = {self.half_width!r} is too large: the box length "
+                "2*half_width overflows, so the cell width dx is not finite"
+            )
         try:
             self.dx = 2.0 * self.half_width / self.cells
             self.x = -self.half_width + (np.arange(self.cells) + 0.5) * self.dx
-        except (OverflowError, ValueError) as err:  # no float dx, or no array that long
-            raise InvalidParameterError(
+        except (OverflowError, ValueError, MemoryError) as err:  # no float dx, or no such array
+            raise ConfigError(
                 f"grid.cells = {self.cells} is too large to build the cell centres ({err})"
             ) from None
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constants
-from .errors import InvalidParameterError, InvalidStateError
+from .errors import ConfigError, InvalidStateError
 
 # exp(x) rounds to exactly 0 for x below about -745.13, so exp(-pi/|E|) is
 # exactly 0 for every |E| < pi/746.
@@ -39,9 +39,9 @@ def derived_plasma_frequency(N0: float, alpha: float) -> float:
     fine-structure constant.
     """
     if not (N0 > 0.0):
-        raise InvalidParameterError(f"N0 must be positive, got {N0}")
+        raise ConfigError(f"N0 must be positive, got {N0}")
     if not (alpha > 0.0):
-        raise InvalidParameterError(f"alpha must be positive, got {alpha}")
+        raise ConfigError(f"alpha must be positive, got {alpha}")
     return math.sqrt(2.0 * alpha * N0) / (2.0 * math.pi)
 
 
@@ -61,8 +61,14 @@ class PhysicsParams:
 
     def __post_init__(self):
         if not (self.a >= 0.0):
-            raise InvalidParameterError(f"recombination coefficient a must be >= 0, got {self.a}")
+            raise ConfigError(f"recombination coefficient a must be >= 0, got {self.a}")
         self.omega_pe_sq = derived_plasma_frequency(self.N0, self.alpha) ** 2
+        if not (0.0 < self.omega_pe_sq < math.inf):
+            raise ConfigError(
+                f"physics.N0 = {self.N0!r} and physics.alpha = {self.alpha!r} give the "
+                f"squared plasma frequency 2*alpha*N0/(2*pi)^2 = {self.omega_pe_sq!r}; "
+                "it must be positive and finite"
+            )
 
 
 def _checked(E):
@@ -114,7 +120,7 @@ def schwinger_rate_norm(E, N0: float):
     Even in E. Returns exact zero wherever the exponential underflows.
     """
     if not (N0 > 0.0):
-        raise InvalidParameterError(f"N0 must be positive, got {N0}")
+        raise ConfigError(f"N0 must be positive, got {N0}")
     arr = _checked(E)
     return _maybe_scalar(arr * arr * pair_factor(arr, N0))
 
@@ -128,7 +134,7 @@ def displacement_flux(E, gamma, N0: float):
     calls this; it stays while `perfbench/child.py` traces it (ROADMAP item 1).
     """
     if not (N0 > 0.0):
-        raise InvalidParameterError(f"N0 must be positive, got {N0}")
+        raise ConfigError(f"N0 must be positive, got {N0}")
     arr = _checked(E)
     return _maybe_scalar(gamma * (arr * pair_factor(arr, N0)))
 
@@ -153,7 +159,7 @@ def recombination_momentum_exchange(p_self, p_other, n_other, a: float):
     `perfbench/child.py` traces it (ROADMAP item 1).
     """
     if not (a >= 0.0):
-        raise InvalidParameterError(f"recombination coefficient a must be >= 0, got {a}")
+        raise ConfigError(f"recombination coefficient a must be >= 0, got {a}")
     p_self = np.asarray(p_self, dtype=np.float64)
     p_other = np.asarray(p_other, dtype=np.float64)
     n_other = np.asarray(n_other, dtype=np.float64)

@@ -92,7 +92,7 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import make_record
-from .errors import ChargeImbalanceError, ConfigError, InvalidParameterError, NumericalBreakdownError
+from .errors import ChargeImbalanceError, ConfigError, NumericalBreakdownError
 from .grid import (
     Grid1D,
     bohm_potential,
@@ -194,11 +194,11 @@ class SolverOptions:
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= CFL_MAX):
-            raise InvalidParameterError(f"cfl must be in (0, {CFL_MAX}], got {self.cfl}")
+            raise ConfigError(f"cfl must be in (0, {CFL_MAX}], got {self.cfl}")
         if not (self.t_end >= 0.0):
-            raise InvalidParameterError(f"t_end must be >= 0, got {self.t_end}")
+            raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
         if not (self.nu_h >= 0.0):
-            raise InvalidParameterError(f"nu_h must be >= 0, got {self.nu_h}")
+            raise ConfigError(f"nu_h must be >= 0, got {self.nu_h}")
 
 
 def check_config_path(key: str, path: str):
@@ -206,7 +206,7 @@ def check_config_path(key: str, path: str):
     break ends the line, blanks around a value are stripped and no file name
     holds a NUL."""
     if "#" in path or "\0" in path or path != path.strip() or len(path.splitlines()) != 1:
-        raise InvalidParameterError(
+        raise ConfigError(
             f"{key} = {path!r} cannot be written in a config: it must be non-empty, "
             "without '#', NUL or line breaks, and not start or end with a blank"
         )
@@ -239,25 +239,25 @@ class InitialCondition:
 
     def __post_init__(self):
         if self.kind not in IC_KINDS:
-            raise InvalidParameterError(
+            raise ConfigError(
                 f"unknown initial-condition kind {self.kind!r}; expected one of {IC_KINDS}"
             )
         if not (self.L > 0.0):
-            raise InvalidParameterError(f"ic L must be positive, got {self.L}")
+            raise ConfigError(f"ic L must be positive, got {self.L}")
         if not (self.base_p > 0.0):
-            raise InvalidParameterError(f"ic.base_p must be positive, got {self.base_p}")
+            raise ConfigError(f"ic.base_p must be positive, got {self.base_p}")
         # the wavenumber pi*mode/X needs a mode that converts to a float
         if not 1 <= self.mode <= sys.float_info.max:
-            raise InvalidParameterError(
+            raise ConfigError(
                 f"ic mode must be a positive integer below {sys.float_info.max:.3g}, "
                 f"got {self.mode}"
             )
         if self.kind == "file" and not self.path:
-            raise InvalidParameterError("ic kind 'file' requires ic path")
+            raise ConfigError("ic kind 'file' requires ic path")
         if self.path is not None:
             check_config_path("ic.path", self.path)
             if self.kind != "file":
-                raise InvalidParameterError(
+                raise ConfigError(
                     f"ic.path is read only with ic.kind = file, but ic.kind = {self.kind}"
                 )
 
@@ -374,7 +374,7 @@ def _stage(state: SimState, deriv: np.ndarray, h: float, work: Workspace) -> Sim
 
 
 def _check_stability(dt: float, dx: float, opts: SolverOptions):
-    """Raise InvalidParameterError if dt breaks the stability rule at RK4_REAL_LIMIT.
+    """Raise ConfigError if dt breaks the stability rule at RK4_REAL_LIMIT.
 
     The rule is multiplied through by RK4_REAL_LIMIT, so that with the Bohm
     term off it is exactly 16*nu_h*dt <= RK4_REAL_LIMIT.
@@ -383,14 +383,14 @@ def _check_stability(dt: float, dx: float, opts: SolverOptions):
     if 16.0 * opts.nu_h * dt + RK4_REAL_LIMIT / RK4_IMAG_LIMIT * omega_max * dt <= RK4_REAL_LIMIT:
         return
     if not opts.bohm:
-        raise InvalidParameterError(
+        raise ConfigError(
             f"solver.nu_h = {opts.nu_h} at dt = {dt} breaks RK4's stability bound "
             f"16*nu_h*dt <= {RK4_REAL_LIMIT}; the largest nu_h allowed at this dt is "
             f"{RK4_REAL_LIMIT / (16.0 * dt):.6g}"
         )
     rate = 16.0 * opts.nu_h / RK4_REAL_LIMIT + omega_max / RK4_IMAG_LIMIT
     terms = f"solver.bohm = on and solver.nu_h = {opts.nu_h}" if opts.nu_h else "solver.bohm = on"
-    raise InvalidParameterError(
+    raise ConfigError(
         f"{terms} at dt = {dt} (dx = {dx:.6g}) breaks RK4's stability bound "
         f"16*nu_h*dt/{RK4_REAL_LIMIT} + {BOHM_OMEGA_DX2}*dt/(2*sqrt(2)*dx^2) <= 1 "
         f"(here {rate * dt:.4g}); the largest dt allowed is {1.0 / rate:.6g} "
@@ -406,12 +406,12 @@ def rk4_step(
     Steps through `work` (a new Workspace when None) and returns a state
     with a new array, leaving `work` primed for it. Raises
     NumericalBreakdownError if any stage state or the returned state holds
-    a non-finite value, and InvalidParameterError if dt breaks the CFL
+    a non-finite value, and ConfigError if dt breaks the CFL
     bound or puts hyperdiffusion or the Bohm term outside RK4's stability
     region (see RK4_REAL_LIMIT).
     """
     if not (0.0 < dt <= CFL_MAX * state.grid.dx * (1.0 + 1e-12)):
-        raise InvalidParameterError(
+        raise ConfigError(
             f"dt = {dt} violates the step bound dt <= {CFL_MAX}*dx = {CFL_MAX * state.grid.dx}"
         )
     _check_stability(dt, state.grid.dx, opts)
@@ -514,7 +514,7 @@ def _plan_steps(opts: SolverOptions, dx: float):
     if opts.t_end == 0.0:
         return 0, dt
     if opts.t_end + dt == opts.t_end:
-        raise InvalidParameterError(
+        raise ConfigError(
             f"the step dt = cfl*dx = {opts.cfl!r}*{dx!r} = {dt!r} is too small to "
             f"advance t at t_end = {opts.t_end!r}; raise solver.cfl or grid.half_width, "
             "or lower grid.cells"

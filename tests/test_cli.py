@@ -4,6 +4,7 @@ import ast
 import errno
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import shutil
@@ -19,6 +20,7 @@ import pairplasma
 from pairplasma import __version__, output
 from pairplasma.cli import cli_main
 from pairplasma.config import parse_config
+from pairplasma.errors import ConfigError, NumericalBreakdownError, PairPlasmaError
 from pairplasma.grid import Grid1D
 from pairplasma.output import write_snapshot, write_snapshots
 from pairplasma.solver import SimState
@@ -149,6 +151,62 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith(f"configuration error: grid.cells = {cells} is too large")
+        assert not (tmp_path / "out").exists()
+
+    def test_unallocatable_cell_count_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # 2^40 cells fit an int64 array, but whether the 8 TiB can be
+        # allocated depends on the machine's overcommit policy: numpy's
+        # refusal is simulated here, since a real attempt might succeed.
+        # Unchecked, it ended in an _ArrayMemoryError traceback.
+        arange = np.arange
+
+        def refusing_arange(n, *args, **kwargs):
+            if n >= 2**40:
+                raise MemoryError(f"Unable to allocate 8.00 TiB for an array with shape ({n},)")
+            return arange(n, *args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", refusing_arange)
+        cfg = write_config(tmp_path, f"grid.cells = {2**40}\noutput.dir = {tmp_path / 'out'}\n")
+        assert cli_main(["run", cfg]) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: grid.cells = {2**40} is too large to build the cell centres "
+            f"(Unable to allocate 8.00 TiB for an array with shape ({2**40},))\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    # unchecked, 2*half_width overflowed to dx = inf: the sine state broke
+    # down at t = 0 on a NaN field (exit 2), and the Gaussian was refused as
+    # narrower than a cell of width inf
+    @pytest.mark.parametrize("kind", ["sine", "gaussian"])
+    def test_box_too_wide_for_a_finite_dx_is_config_error(self, tmp_path, capsys, kind):
+        cfg = write_config(
+            tmp_path,
+            f"grid.cells = 8\ngrid.half_width = 1e308\nic.kind = {kind}\n"
+            f"output.dir = {tmp_path / 'out'}\n",
+        )
+        assert cli_main(["run", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: grid.half_width = 1e+308 is too large: the box length "
+            "2*half_width overflows, so the cell width dx is not finite\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    # unchecked, omega_pe_sq = 0 made the field energy E^2/(2*omega_pe_sq)
+    # "overflow" at E = 0, and omega_pe_sq = inf a NaN field, both exit 2;
+    # physics.N0 = 1e300 keeps a finite omega_pe_sq and breaks down for real
+    @pytest.mark.parametrize("value, omega", [("1e-200", "0.0"), ("1e308", "inf")])
+    def test_plasma_frequency_out_of_range_is_config_error(self, tmp_path, capsys, value, omega):
+        cfg = write_config(
+            tmp_path,
+            f"grid.cells = 64\nphysics.N0 = {value}\nphysics.alpha = {value}\n"
+            f"output.dir = {tmp_path / 'out'}\n",
+        )
+        assert cli_main(["run", cfg]) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: physics.N0 = {float(value)!r} and physics.alpha = "
+            f"{float(value)!r} give the squared plasma frequency 2*alpha*N0/(2*pi)^2 = {omega}; "
+            "it must be positive and finite\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_path_without_file_kind_is_config_error(self, tmp_path, capsys):
@@ -535,6 +593,36 @@ class TestBadRestartInput:
         assert err.count("\n") == 1
         assert err.startswith(f"configuration error: snapshot {snapshot}: net charge integral -4.8")
         assert not (tmp_path / "out").exists()
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# cli_main has one except arm per exit code and none for PairPlasmaError
+# itself, so a package error outside the two kinds would end in a traceback
+@pytest.mark.parametrize(
+    "cls", sorted(_subclasses(PairPlasmaError), key=lambda c: c.__name__), ids=lambda c: c.__name__
+)
+def test_every_package_error_has_one_exit_code(tmp_path, capsys, monkeypatch, cls):
+    assert issubclass(cls, (ConfigError, NumericalBreakdownError))
+    if issubclass(cls, ConfigError):
+        code, prefix = 1, "configuration error"
+    else:
+        code, prefix = 2, "numerical breakdown"
+    # 0 for each argument past the message (the residual, or t and cell)
+    params = inspect.signature(cls.__init__).parameters.values()
+    extra = [p for p in params if p.kind is p.POSITIONAL_OR_KEYWORD][2:]
+
+    def failing_run(config):
+        raise cls("bad input", *[0] * len(extra))
+
+    monkeypatch.setattr(pairplasma.solver, "run", failing_run)
+    cfg = write_config(tmp_path, f"grid.cells = 64\noutput.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["run", cfg]) == code
+    assert capsys.readouterr().err == f"{prefix}: bad input\n"
 
 
 def run_python(code, *args):

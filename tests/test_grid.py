@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pairplasma
-from pairplasma.errors import ChargeImbalanceError, InvalidParameterError
+from pairplasma.errors import ChargeImbalanceError, ConfigError
 from pairplasma.grid import (
     Grid1D,
     bohm_potential,
@@ -32,12 +32,14 @@ class TestGrid1D:
 
     @pytest.mark.parametrize("cells", [7, 6, 0, 65])
     def test_rejects_bad_cell_counts(self, cells):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             Grid1D(half_width=10.0, cells=cells)
 
     def test_rejects_bad_half_width(self):
-        with pytest.raises(InvalidParameterError):
-            Grid1D(half_width=0.0, cells=64)
+        # inf and 1e308 leave the box length 2*half_width, and so dx, not finite
+        for half_width in (0.0, -1.0, float("nan"), float("inf"), 1e308):
+            with pytest.raises(ConfigError):
+                Grid1D(half_width=half_width, cells=64)
 
 
 class TestDdx:

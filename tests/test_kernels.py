@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pairplasma import constants, kernels
-from pairplasma.errors import InvalidParameterError, InvalidStateError
+from pairplasma.errors import ConfigError, InvalidStateError
 
 mp.mp.dps = 50
 
@@ -36,13 +36,13 @@ class TestPlasmaFrequency:
 
     @pytest.mark.parametrize("n0,alpha", [(0.0, 1 / 137), (-1.0, 1 / 137), (0.2, 0.0), (0.2, -2.0)])
     def test_rejects_nonpositive(self, n0, alpha):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             kernels.derived_plasma_frequency(n0, alpha)
 
     def test_params_derive_omega(self):
         params = kernels.PhysicsParams(N0=0.2, alpha=1.0 / 137.0)
         assert params.omega_pe_sq == kernels.derived_plasma_frequency(0.2, 1 / 137) ** 2
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             kernels.PhysicsParams(N0=0.2, a=-0.1)
 
 
@@ -85,7 +85,7 @@ class TestPairCreationRate:
     def test_nan_rejected(self):
         with pytest.raises(InvalidStateError):
             kernels.schwinger_rate_norm(float("nan"), 0.2)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             kernels.schwinger_rate_norm(0.5, 0.0)
 
 

@@ -13,7 +13,7 @@ import pairplasma.kernels as kernels
 import pairplasma.solver as sv
 from pairplasma.config import OutputConfig, parse_config
 from pairplasma.diagnostics import SERIES_COLUMNS, make_record
-from pairplasma.errors import InvalidParameterError, NumericalBreakdownError
+from pairplasma.errors import ConfigError, NumericalBreakdownError
 from pairplasma.grid import Grid1D, ddx, hyperdiffusion, integrate
 from pairplasma.kernels import PhysicsParams, pair_factor
 from pairplasma.selfcheck import (
@@ -252,19 +252,19 @@ class TestRk4Step:
     def test_step_bound_enforced(self):
         grid = Grid1D(half_width=100.0, cells=64)
         state = uniform_state(grid)
-        with pytest.raises(InvalidParameterError) as excinfo:
+        with pytest.raises(ConfigError) as excinfo:
             rk4_step(state, 0.6 * grid.dx, PARAMS, SolverOptions(t_end=1.0))
         # kills the mutants of the bound's numbers in the message
         assert str(excinfo.value) == "dt = 1.875 violates the step bound dt <= 0.5*dx = 1.5625"
         # kills the mutants of `0.0 < dt <= CFL_MAX * dx * (1.0 + 1e-12)`:
         # dt = 0 and the next float beyond the rounding allowance are refused,
         # dt = CFL_MAX*dx and the allowance itself are accepted
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             rk4_step(state, 0.0, PARAMS, SolverOptions(t_end=1.0))
         edge = sv.CFL_MAX * grid.dx * (1.0 + 1e-12)
         for dt in (sv.CFL_MAX * grid.dx, edge):
             assert rk4_step(state, dt, PARAMS, SolverOptions(t_end=1.0)).t == dt
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             rk4_step(state, np.nextafter(edge, np.inf), PARAMS, SolverOptions(t_end=1.0))
 
     def test_one_langmuir_period_returns_profile(self):
@@ -342,7 +342,7 @@ class TestRk4Step:
         dt = 0.4 * grid.dx
         largest = sv.RK4_REAL_LIMIT / (16.0 * dt)
         rk4_step(state, dt, PARAMS, SolverOptions(t_end=1.0, nu_h=largest))
-        with pytest.raises(InvalidParameterError) as excinfo:
+        with pytest.raises(ConfigError) as excinfo:
             rk4_step(state, dt, PARAMS, SolverOptions(t_end=1.0, nu_h=largest * (1.0 + 1e-9)))
         message = str(excinfo.value)
         assert "solver.nu_h" in message and "2.785" in message
@@ -377,7 +377,7 @@ class TestRk4Step:
         nu_h = nu_h_share * sv.RK4_REAL_LIMIT / (16.0 * largest)
         opts = SolverOptions(t_end=1.0, bohm=True, nu_h=nu_h)
         rk4_step(state, largest * (1.0 - 1e-9), PARAMS, opts)
-        with pytest.raises(InvalidParameterError) as excinfo:
+        with pytest.raises(ConfigError) as excinfo:
             rk4_step(state, largest * (1.0 + 1e-9), PARAMS, opts)
         message = str(excinfo.value)
         assert message.startswith("solver.bohm = on")
@@ -385,7 +385,7 @@ class TestRk4Step:
         assert f"the largest dt allowed is {largest:.6g}" in message
         # kills the mutants of the message's numbers: a step 1.5 times the
         # largest uses 1.5 of the rule, and the largest is cfl = largest/dx
-        with pytest.raises(InvalidParameterError) as excinfo:
+        with pytest.raises(ConfigError) as excinfo:
             rk4_step(state, 1.5 * largest, PARAMS, opts)
         assert str(excinfo.value).endswith(
             f"(here 1.5); the largest dt allowed is {largest:.6g} (cfl {largest / grid.dx:.6g})"
@@ -488,12 +488,12 @@ class TestInitialCondition:
         assert np.max(state.n_e) > 1.01
 
     def test_unknown_kind(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             InitialCondition(kind="vortex")
 
     @pytest.mark.parametrize("base_p", [0.0, -0.5, math.nan])
     def test_non_positive_base_p_rejected(self, base_p):
-        with pytest.raises(InvalidParameterError, match="ic.base_p must be positive"):
+        with pytest.raises(ConfigError, match="ic.base_p must be positive"):
             InitialCondition(base_p=base_p)
 
     def test_negative_initial_density_rejected(self):
@@ -507,13 +507,13 @@ class TestSolverOptions:
         assert SolverOptions().cfl == 0.4
         assert SolverOptions(cfl=sv.CFL_MAX).cfl == 0.5
         for cfl in (0.0, -0.1, 0.5000001, 0.7):
-            with pytest.raises(InvalidParameterError, match="cfl must be in"):
+            with pytest.raises(ConfigError, match="cfl must be in"):
                 SolverOptions(cfl=cfl)
 
     def test_validation(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             SolverOptions(t_end=-5.0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             SolverOptions(nu_h=-1e-3)
 
     def test_step_planning(self):
@@ -536,7 +536,7 @@ class TestSolverOptions:
         unit = math.ulp(1500.0)
         n, dt = sv._plan_steps(SolverOptions(cfl=0.5, t_end=1500.0), unit * 1.01)
         assert n > 2**53
-        with pytest.raises(InvalidParameterError, match="is too small to advance t"):
+        with pytest.raises(ConfigError, match="is too small to advance t"):
             sv._plan_steps(SolverOptions(cfl=0.5, t_end=1500.0), unit * 0.99)
 
 
