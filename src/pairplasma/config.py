@@ -6,11 +6,13 @@ Grammar (one assignment per line):
     physics.N0 = 0.2
     solver.cfl = 0.4
 
-Unknown keys, duplicate keys, malformed lines and out-of-range values are
-rejected with the offending line number. Floats accept decimal or scientific
-notation (locale-independent) and must be finite (inf and nan are bad
-values); booleans accept on/off, true/false, yes/no, 1/0. `solver.cfl` is
-the only step control: the step is at most cfl*dx (`solver._plan_steps`).
+Unknown keys, duplicate keys, malformed lines and unparsable values are
+rejected with the offending line number, and a value out of range by its
+section's dataclass as `section.key = value <rule>`. Floats accept decimal
+or scientific notation (locale-independent) and must be finite (inf and nan
+are bad values); booleans accept on/off, true/false, yes/no, 1/0.
+`solver.cfl` is the only step control: the step is at most cfl*dx
+(`solver._plan_steps`).
 
 Each section is a field of `RunConfig`; its keys, their types and their
 defaults are the init fields of that field's dataclass, and the parser reads
@@ -42,8 +44,9 @@ class OutputConfig:
     snapshot_every: int = 40
 
     def __post_init__(self):
-        if self.series_every < 0 or self.snapshot_every < 0:
-            raise ConfigError("output cadences must be >= 0 (0 disables)")
+        for key in ("series_every", "snapshot_every"):
+            if (value := getattr(self, key)) < 0:
+                raise ConfigError(f"output.{key} = {value!r} must be >= 0 (0 disables)")
         check_config_path("output.dir", self.dir)
 
 

@@ -39,9 +39,9 @@ class Grid1D:
 
     def __post_init__(self):
         if not self.half_width > 0.0:
-            raise ConfigError(f"half_width must be positive, got {self.half_width}")
+            raise ConfigError(f"grid.half_width = {self.half_width!r} must be positive")
         if self.cells < 8 or self.cells % 2 != 0:
-            raise ConfigError(f"cells must be even and >= 8, got {self.cells}")
+            raise ConfigError(f"grid.cells = {self.cells!r} must be even and >= 8")
         if not np.isfinite(self.length):  # nor is dx = length / cells
             raise ConfigError(
                 f"grid.half_width = {self.half_width!r} is too large: the box length "

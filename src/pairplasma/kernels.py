@@ -35,13 +35,9 @@ def derived_plasma_frequency(N0: float, alpha: float) -> float:
     """Normalized electron plasma frequency sqrt(2*alpha*N0) / (2*pi).
 
     The ion background density is the normalization density, so the plasma
-    frequency (in inverse Compton times) depends only on N0 and the
-    fine-structure constant.
+    frequency (in inverse Compton times) depends only on N0 and alpha. Both
+    must be positive; `PhysicsParams` checks them.
     """
-    if not (N0 > 0.0):
-        raise ConfigError(f"N0 must be positive, got {N0}")
-    if not (alpha > 0.0):
-        raise ConfigError(f"alpha must be positive, got {alpha}")
     return math.sqrt(2.0 * alpha * N0) / (2.0 * math.pi)
 
 
@@ -60,8 +56,12 @@ class PhysicsParams:
     omega_pe_sq: float = field(init=False)
 
     def __post_init__(self):
+        if not (self.N0 > 0.0):
+            raise ConfigError(f"physics.N0 = {self.N0!r} must be positive")
+        if not (self.alpha > 0.0):
+            raise ConfigError(f"physics.alpha = {self.alpha!r} must be positive")
         if not (self.a >= 0.0):
-            raise ConfigError(f"recombination coefficient a must be >= 0, got {self.a}")
+            raise ConfigError(f"physics.a = {self.a!r} must be >= 0 (0 disables)")
         self.omega_pe_sq = derived_plasma_frequency(self.N0, self.alpha) ** 2
         if not (0.0 < self.omega_pe_sq < math.inf):
             raise ConfigError(

@@ -194,11 +194,11 @@ class SolverOptions:
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= CFL_MAX):
-            raise ConfigError(f"cfl must be in (0, {CFL_MAX}], got {self.cfl}")
+            raise ConfigError(f"solver.cfl = {self.cfl!r} must be in (0, {CFL_MAX}]")
         if not (self.t_end >= 0.0):
-            raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
+            raise ConfigError(f"solver.t_end = {self.t_end!r} must be >= 0")
         if not (self.nu_h >= 0.0):
-            raise ConfigError(f"nu_h must be >= 0, got {self.nu_h}")
+            raise ConfigError(f"solver.nu_h = {self.nu_h!r} must be >= 0 (0 disables)")
 
 
 def check_config_path(key: str, path: str):
@@ -239,21 +239,18 @@ class InitialCondition:
 
     def __post_init__(self):
         if self.kind not in IC_KINDS:
-            raise ConfigError(
-                f"unknown initial-condition kind {self.kind!r}; expected one of {IC_KINDS}"
-            )
+            raise ConfigError(f"ic.kind = {self.kind!r} must be one of {', '.join(IC_KINDS)}")
         if not (self.L > 0.0):
-            raise ConfigError(f"ic L must be positive, got {self.L}")
+            raise ConfigError(f"ic.L = {self.L!r} must be positive")
         if not (self.base_p > 0.0):
-            raise ConfigError(f"ic.base_p must be positive, got {self.base_p}")
+            raise ConfigError(f"ic.base_p = {self.base_p!r} must be positive")
         # the wavenumber pi*mode/X needs a mode that converts to a float
         if not 1 <= self.mode <= sys.float_info.max:
             raise ConfigError(
-                f"ic mode must be a positive integer below {sys.float_info.max:.3g}, "
-                f"got {self.mode}"
+                f"ic.mode = {self.mode!r} must be an integer in [1, {sys.float_info.max!r}]"
             )
         if self.kind == "file" and not self.path:
-            raise ConfigError("ic kind 'file' requires ic path")
+            raise ConfigError("ic.kind = file needs ic.path")
         if self.path is not None:
             check_config_path("ic.path", self.path)
             if self.kind != "file":

@@ -105,6 +105,34 @@ class TestRunCommand:
         assert err.count("\n") == 1 and err.startswith("configuration error: line 2:")
         assert not (tmp_path / "out").exists()
 
+    # every range-checked key out of its range, and the two bad kinds: the
+    # check of the key's section names it and its value, in one line
+    RANGE_ERRORS = [
+        ("physics.N0 = 0", "0.0 must be positive"),
+        ("physics.alpha = -7e-3", "-0.007 must be positive"),
+        ("physics.a = -1e-3", "-0.001 must be >= 0 (0 disables)"),
+        ("grid.half_width = 0", "0.0 must be positive"),
+        ("grid.cells = 63", "63 must be even and >= 8"),
+        ("solver.cfl = 0.9", "0.9 must be in (0, 0.5]"),
+        ("solver.t_end = -1", "-1.0 must be >= 0"),
+        ("solver.nu_h = -0.5", "-0.5 must be >= 0 (0 disables)"),
+        ("ic.L = -6000", "-6000.0 must be positive"),
+        ("ic.base_p = 0", "0.0 must be positive"),
+        ("ic.mode = 0", "0 must be an integer in [1, 1.7976931348623157e+308]"),
+        ("output.series_every = -1", "-1 must be >= 0 (0 disables)"),
+        ("output.snapshot_every = -40", "-40 must be >= 0 (0 disables)"),
+        ("ic.kind = foo", "'foo' must be one of gaussian, sine, file"),
+        ("ic.kind = file", "file needs ic.path"),
+    ]
+
+    @pytest.mark.parametrize("line, rule", RANGE_ERRORS, ids=[line for line, _ in RANGE_ERRORS])
+    def test_out_of_range_value_names_its_key(self, tmp_path, capsys, line, rule):
+        cfg = write_config(tmp_path, f"{line}\noutput.dir = {tmp_path / 'out'}\n")
+        assert cli_main(["run", cfg]) == 1
+        key = line.split(" = ")[0]
+        assert capsys.readouterr() == ("", f"configuration error: {key} = {rule}\n")
+        assert not (tmp_path / "out").exists()
+
     # these keys were removed: the pair factor's cutoff is where exp underflows,
     # dE/dt has the one displacement sign that keeps the Gauss law, every
     # step an explicit dt could set is some solver.cfl*dx, the electron
@@ -136,7 +164,7 @@ class TestRunCommand:
         assert cli_main(["run", cfg]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("configuration error: unknown initial-condition kind 'uniform'")
+        assert err == "configuration error: ic.kind = 'uniform' must be one of gaussian, sine, file\n"
         assert not (tmp_path / "out").exists()
 
     # unchecked, these ended in an OverflowError or ValueError traceback from
@@ -274,7 +302,7 @@ class TestRunCommand:
         )
         assert cli_main(["run", cfg]) == 1
         assert capsys.readouterr().err == (
-            f"configuration error: ic.base_p must be positive, got {float(value)}\n"
+            f"configuration error: ic.base_p = {float(value)!r} must be positive\n"
         )
         assert not (tmp_path / "out").exists()
 

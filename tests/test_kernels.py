@@ -34,10 +34,13 @@ class TestPlasmaFrequency:
         n0 = 2.0 * math.pi**2 / alpha
         assert kernels.derived_plasma_frequency(n0, alpha) == pytest.approx(1.0, rel=1e-14)
 
+    # PhysicsParams checks N0 and alpha before it derives the frequency from them
     @pytest.mark.parametrize("n0,alpha", [(0.0, 1 / 137), (-1.0, 1 / 137), (0.2, 0.0), (0.2, -2.0)])
     def test_rejects_nonpositive(self, n0, alpha):
-        with pytest.raises(ConfigError):
-            kernels.derived_plasma_frequency(n0, alpha)
+        key, value = ("N0", n0) if n0 <= 0.0 else ("alpha", alpha)
+        with pytest.raises(ConfigError) as info:
+            kernels.PhysicsParams(N0=n0, alpha=alpha)
+        assert str(info.value) == f"physics.{key} = {value!r} must be positive"
 
     def test_params_derive_omega(self):
         params = kernels.PhysicsParams(N0=0.2, alpha=1.0 / 137.0)
