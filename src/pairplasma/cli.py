@@ -15,7 +15,11 @@ down: series.csv, then the snapshots in up to one process per available
 CPU (`output.write_snapshots`), then, after every writer has finished and
 the share of any writer that failed has been written again, the manifest
 with the digests of the files on disk. `init` is `run` with
-`solver.t_end = 0`, through the same function.
+`solver.t_end = 0`, through the same function. The records and the
+snapshot states, the final state included, are released once their files
+are written, and `output` loads OpenSSL (through `hashlib`) only to hash
+the files for the manifest, so neither the solve nor the writers carry
+OpenSSL, and the hashing carries no state.
 
 Every error ends in one stderr line printed by `cli_main`. `_cmd_run`
 flushes a numerical breakdown's partial outputs and re-raises it, and
@@ -54,10 +58,18 @@ def _load_config(path: str) -> RunConfig:
 
 
 def _write_outputs(config: RunConfig, records, snapshots) -> Path:
+    """Write series.csv, the snapshots and the manifest; leave both lists empty.
+
+    Each list is cleared once its file or files are written, so the records
+    and states that only it held are freed before the manifest is hashed. A
+    caller that reports their counts takes them first.
+    """
     outdir = Path(config.output.dir)
     outdir.mkdir(parents=True, exist_ok=True)
     files = [write_series(records, outdir / SERIES_FILENAME)]
+    records.clear()
     files += write_snapshots(snapshots, outdir)
+    snapshots.clear()
     write_manifest(format_config(config), outdir, files)
     return outdir
 
@@ -70,14 +82,19 @@ def _cmd_run(args) -> int:
     try:
         result = solver.run(config)
     except NumericalBreakdownError as err:
-        # Flush whatever was collected before the breakdown; cli_main reports it.
+        # Flush whatever was collected before the breakdown; cli_main reports
+        # it. Its lists are emptied, so the traceback no longer holds them.
         _write_outputs(config, err.records, err.snapshots)
         raise
-    outdir = _write_outputs(config, result.records, result.snapshots)
-    last = result.records[-1]
+    # drop the result, whose final state is also the last snapshot, so that
+    # _write_outputs frees every state and record before it hashes
+    records, snapshots = result.records, result.snapshots
+    del result
+    last, n_records, n_snapshots = records[-1], len(records), len(snapshots)
+    outdir = _write_outputs(config, records, snapshots)
     print(
-        f"run finished at t = {last.t:g}: {len(result.records)} records, "
-        f"{len(result.snapshots)} snapshots, delta_pairs = {last.delta_pairs:.6g} "
+        f"run finished at t = {last.t:g}: {n_records} records, "
+        f"{n_snapshots} snapshots, delta_pairs = {last.delta_pairs:.6g} "
         f"-> {outdir}"
     )
     return EXIT_OK

@@ -32,7 +32,9 @@ class NumericalBreakdownError(PairPlasmaError):
     Carries the simulation time and the offending cell index; its message
     names both and the five field values in that cell (E, n_e, n_p, p_e,
     p_p). When raised out of a run loop, any diagnostics collected so far
-    are attached so the caller can flush them before exiting.
+    are attached so the caller can flush them before exiting. `pairplasma
+    run` empties `records` and `snapshots` once their files are written, so
+    they are freed before the manifest is hashed, not with the error.
     """
 
     def __init__(self, message: str, t: float, cell: int):

@@ -10,10 +10,12 @@ process per available CPU: the calling process and writers forked from it.
 Each file is written whole by one process with `write_snapshot`, so the
 bytes do not depend on the number of writers. A forked writer reports only
 its exit status; the calling process writes the share of a writer that
-failed or died again itself, once every writer has ended.
+failed or died again itself, once every writer has ended. The CLI releases
+the records and the snapshot states once their files are written, and only
+then does `write_manifest` load `hashlib` (OpenSSL) to hash the files, so
+the hashing holds no state, and the solve and the writers hold no OpenSSL.
 """
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -186,7 +188,14 @@ _HASH_BLOCK = 64 * 1024
 
 
 def _sha256(path: Path) -> str:
-    """SHA-256 of a file, read in blocks so that memory does not grow with its size."""
+    """SHA-256 of a file, read in blocks so that memory does not grow with its size.
+
+    `hashlib` is imported here, not at module top: it loads OpenSSL's
+    libcrypto, about 3.6 MiB resident, and only the manifest needs it, so a
+    run does not carry it through the solve and the snapshot writers.
+    """
+    import hashlib
+
     digest = hashlib.sha256()
     buffer = bytearray(_HASH_BLOCK)
     view = memoryview(buffer)

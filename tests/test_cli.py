@@ -11,13 +11,14 @@ import shutil
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pairplasma
-from pairplasma import __version__, output
+from pairplasma import __version__, cli, output, solver
 from pairplasma.cli import cli_main
 from pairplasma.config import parse_config
 from pairplasma.errors import ConfigError, NumericalBreakdownError, PairPlasmaError
@@ -676,6 +677,26 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_only_the_manifest_loads_openssl(tmp_path):
+    # hashlib loads OpenSSL's libcrypto, about 3.6 MiB resident; only the
+    # manifest's digests use it, so the solve and the writers run without it
+    data = tmp_path / "data.txt"
+    data.write_text("x\n")
+    code = (
+        "import sys\n"
+        "import pairplasma.cli\n"
+        "from pairplasma import output, solver\n"
+        "from pairplasma.config import parse_config\n"
+        "solver.run(parse_config('grid.cells = 64\\nsolver.t_end = 600\\n'))\n"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+        "output.write_manifest('', sys.argv[1], [sys.argv[2]])\n"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    )
+    out = run_python(code, str(tmp_path), str(data))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "['_hashlib', 'hashlib']"]
+
+
 def test_run_leaves_few_objects_to_the_collector(tmp_path):
     # cli_main freezes what the imports built, so the collections at
     # interpreter exit have almost nothing left to walk (about 22,000
@@ -698,6 +719,40 @@ BREAKDOWN_SNAPSHOTS = (  # wave breaking at t = 1293.75, after 12 snapshots
     "physics.alpha = 0.0072992700729927005\ngrid.cells = 512\n"
     "solver.stop_on_negative_density = on\noutput.snapshot_every = 3\n"
 )
+
+
+@pytest.mark.parametrize("text, code", [(MANY_SNAPSHOTS, 0), (BREAKDOWN_SNAPSHOTS, 2)])
+def test_written_outputs_are_freed_before_the_manifest(tmp_path, monkeypatch, capsys, text, code):
+    # the hashing of the manifest must not hold the run's records and
+    # states: each is freed once its file is written, the final state too,
+    # except on a breakdown, whose traceback keeps the last good state
+    refs = []
+    real_run, real_manifest = solver.run, cli.write_manifest
+
+    def run(config):
+        try:
+            result = real_run(config)
+        except NumericalBreakdownError as err:
+            refs.extend(weakref.ref(state) for _, state in err.snapshots[:-1])
+            refs.extend(weakref.ref(record) for record in err.records)
+            raise
+        refs.extend(weakref.ref(state) for _, state in result.snapshots)
+        refs.extend(weakref.ref(record) for record in result.records[:-1])  # the summary's
+        return result
+
+    alive = []
+
+    def write_manifest(*args):
+        alive.extend(ref() is not None for ref in refs)
+        return real_manifest(*args)
+
+    monkeypatch.setattr(solver, "run", run)
+    monkeypatch.setattr(cli, "write_manifest", write_manifest)
+    cfg = write_config(tmp_path, f"{text}output.dir = {tmp_path / 'out'}\n")
+    assert cli_main(["run", cfg]) == code
+    assert len(alive) >= 20 and not any(alive)
+    if code == 0:
+        assert ": 21 records, 11 snapshots," in capsys.readouterr().out
 
 
 class TestParallelWriters:

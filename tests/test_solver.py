@@ -1117,7 +1117,7 @@ def uniform_rk4_step(u, dt, params, opts):
 
 
 class TestUniformField:
-    """A uniform plasma in a uniform field, E = 0.3: no stencil touches it.
+    """A uniform plasma in a uniform field (E = 0.3, or 1.0): no stencil touches it.
 
     The state stays uniform, so the solver integrates the k = 0 system of
     `uniform_rhs` on each cell. Its Gauss residual and `balance_rhs` hold no
@@ -1126,6 +1126,13 @@ class TestUniformField:
     """
 
     GRID = Grid1D(half_width=24000.0, cells=8)
+    # E0: (E, n_p, p_p) at t = 100 from the default physics with n_e = 1.01,
+    # n_p = 0.01 and p = 0 at t = 0, and the largest relative error of the
+    # three measured per dt; see test_state_at_t100_within_time_error
+    CONVERGED_100 = {
+        0.3: ((0.292689421179844, 0.0111019459991078, 29.6455791398971), {1.0: 9.34e-9, 0.5: 5.65e-10}),
+        1.0: ((0.777010957191487, 14.1734989173357, 91.3384471072474), {1.0: 5.68e-7, 0.5: 2.34e-8}),
+    }
 
     @pytest.mark.parametrize(
         "a, displacement_terms", [(0.0, True), (0.0, False), (1e-3, True)],
@@ -1164,6 +1171,36 @@ class TestUniformField:
         # RK4: each halving of the step gains about 2^4 = 16
         for coarse, fine in zip(drifts, drifts[1:]):
             assert coarse >= 12.0 * fine, drifts
+
+    @pytest.mark.parametrize("e_field", sorted(CONVERGED_100))
+    def test_state_at_t100_within_time_error(self, e_field):
+        """E, n_p and p_p at t = 100 lie within 1.5 times RK4's measured
+        error of the converged values, at dt = 1 and 0.5, so the uniform
+        physics is checked against an independent solution of its ODEs.
+
+        The converged values come from `mpmath.odefun` (Taylor series) at
+        mp.dps = 20 on the five ODEs of `uniform_rhs` with a = 0, written in
+        mpmath from the equations: w2 = 2 alpha N0 / (2 pi)^2, with N0,
+        alpha and the initial values taken as the exact doubles the solver
+        starts from (`mp.mpf(0.2)`, `mp.mpf(ALPHA_FINE_STRUCTURE)`,
+        `mp.mpf(1.01)`, ...), evaluated at t = 100 and printed to 15 digits
+        (about 9 s per case). mp.dps = 30 gives the same 15 digits. E stays
+        positive to t = 100, so exp(-pi/|E|) is analytic on the way. The
+        measured errors are those of `rk4_step` when the values were pinned.
+        """
+        converged, measured = self.CONVERGED_100[e_field]
+        params, opts = PhysicsParams(), SolverOptions()
+        errors = []
+        for dt, error in measured.items():
+            state, work = uniform_state(self.GRID, e_field=e_field), Workspace(8)
+            for _ in range(round(100.0 / dt)):
+                state = rk4_step(state, dt, params, opts, work)
+            assert state.t == 100.0
+            got = state.u[[0, 2, 4], 0]
+            errors.append(max(abs(got - converged) / converged))
+            assert errors[-1] <= 1.5 * error, (dt, errors)
+        # RK4: halving the step gains about 2^4 = 16
+        assert errors[0] >= 12.0 * errors[1], errors
 
 
 class TestLinearDispersion:
