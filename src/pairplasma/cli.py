@@ -15,14 +15,14 @@ down: series.csv, then the snapshots in up to one process per available
 CPU (`output.write_snapshots`), then, after every writer has finished and
 the share of any writer that failed has been written again, the manifest
 with the digests of the files on disk. `init` is `run` with
-`solver.t_end = 0`, through the same function. The records and the
-snapshot states, the final state included, are released once their files
-are written, and `output` loads OpenSSL (through `hashlib`) only to hash
-the files for the manifest, so neither the solve nor the writers carry
-OpenSSL, and the hashing carries no state.
+`solver.t_end = 0`, through the same function. The solve hands over one
+`solver.RunResult`, returned or attached to a breakdown, which
+`_write_outputs` empties as it writes, so the hashing carries no record
+or state; `output` loads OpenSSL (through `hashlib`) only then, so
+neither the solve nor the writers carry it.
 
 Every error ends in one stderr line printed by `cli_main`. `_cmd_run`
-flushes a numerical breakdown's partial outputs and re-raises it, and
+flushes a numerical breakdown's partial result and re-raises it, and
 `cli_main` prints `numerical breakdown: <reason> at t = <t>, cell <N>:
 E = ..., n_e = ..., n_p = ..., p_e = ..., p_p = ...`, the field values in
 that cell.
@@ -57,19 +57,18 @@ def _load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def _write_outputs(config: RunConfig, records, snapshots) -> Path:
-    """Write series.csv, the snapshots and the manifest; leave both lists empty.
+def _write_outputs(config: RunConfig, result: solver.RunResult) -> Path:
+    """Write a run's series.csv, snapshots and manifest; leave `result` empty.
 
-    Each list is cleared once its file or files are written, so the records
-    and states that only it held are freed before the manifest is hashed. A
-    caller that reports their counts takes them first.
+    Each list is cleared once its files are written, so its records and
+    states are freed before the manifest is hashed; take their counts first.
     """
     outdir = Path(config.output.dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    files = [write_series(records, outdir / SERIES_FILENAME)]
-    records.clear()
-    files += write_snapshots(snapshots, outdir)
-    snapshots.clear()
+    files = [write_series(result.records, outdir / SERIES_FILENAME)]
+    result.records.clear()
+    files += write_snapshots(result.snapshots, outdir)
+    result.snapshots.clear()
     write_manifest(format_config(config), outdir, files)
     return outdir
 
@@ -80,18 +79,17 @@ def _cmd_run(args) -> int:
         # the manifest then records t_end = 0, so re-parsing it reproduces these files
         config.solver = dataclasses.replace(config.solver, t_end=0.0)
     try:
-        result = solver.run(config)
+        result, breakdown = solver.run(config), None
     except NumericalBreakdownError as err:
-        # Flush whatever was collected before the breakdown; cli_main reports
-        # it. Its lists are emptied, so the traceback no longer holds them.
-        _write_outputs(config, err.records, err.snapshots)
-        raise
-    # drop the result, whose final state is also the last snapshot, so that
-    # _write_outputs frees every state and record before it hashes
-    records, snapshots = result.records, result.snapshots
-    del result
-    last, n_records, n_snapshots = records[-1], len(records), len(snapshots)
-    outdir = _write_outputs(config, records, snapshots)
+        # drop the solver's frames, which hold its workspace and last state
+        # (on Python 3.10 sys.exc_info holds them too, until this block
+        # ends); an error raised outside solver.run brings no result
+        result, breakdown = err.result or solver.RunResult([], []), err.with_traceback(None)
+    if breakdown is not None:
+        _write_outputs(config, result)
+        raise breakdown  # flushed; cli_main reports it
+    last, n_records, n_snapshots = result.records[-1], len(result.records), len(result.snapshots)
+    outdir = _write_outputs(config, result)
     print(
         f"run finished at t = {last.t:g}: {n_records} records, "
         f"{n_snapshots} snapshots, delta_pairs = {last.delta_pairs:.6g} "

@@ -31,15 +31,13 @@ class NumericalBreakdownError(PairPlasmaError):
 
     Carries the simulation time and the offending cell index; its message
     names both and the five field values in that cell (E, n_e, n_p, p_e,
-    p_p). When raised out of a run loop, any diagnostics collected so far
-    are attached so the caller can flush them before exiting. `pairplasma
-    run` empties `records` and `snapshots` once their files are written, so
-    they are freed before the manifest is hashed, not with the error.
+    p_p). Raised out of `solver.run`, it carries as `result` the run's
+    `RunResult`, the records and snapshots collected so far, for the caller
+    to flush (`pairplasma run` empties it as it writes); else None.
     """
 
     def __init__(self, message: str, t: float, cell: int):
         super().__init__(message)
         self.t = t
         self.cell = cell
-        self.records = []
-        self.snapshots = []
+        self.result = None

@@ -87,13 +87,13 @@ def _writer_count(n_snapshots: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_snapshots))
 
 
-def _write_share(share, outdir, x_text):
-    for index, state in share:
-        write_snapshot(state, index, outdir, x_text)
+def _write_share(snapshots, k, n, outdir, x_text):
+    for index in range(k, len(snapshots), n):
+        write_snapshot(snapshots[index], index, outdir, x_text)
 
 
 def write_snapshots(snapshots, outdir) -> list:
-    """Write (index, state) snapshots with `write_snapshot`; return the paths in order.
+    """Write each state snapshots[i] to fields_{i:06d}.csv; return the paths in order.
 
     There are n = min(CPUs available, len(snapshots)) writers. Writer k
     writes snapshots[k::n]; the calling process is writer 0 and the others
@@ -113,8 +113,8 @@ def write_snapshots(snapshots, outdir) -> list:
     """
     if not snapshots:  # a run that broke down in its initial state
         return []
-    paths = [Path(outdir) / snapshot_filename(index) for index, _ in snapshots]
-    x_text = format_column(snapshots[0][1].grid.x)
+    paths = [Path(outdir) / snapshot_filename(index) for index in range(len(snapshots))]
+    x_text = format_column(snapshots[0].grid.x)
     n = _writer_count(len(snapshots))
     writers = {}  # pid -> k
     try:
@@ -123,16 +123,16 @@ def write_snapshots(snapshots, outdir) -> list:
             if pid == 0:
                 code = 1
                 try:
-                    _write_share(snapshots[k::n], outdir, x_text)
+                    _write_share(snapshots, k, n, outdir, x_text)
                     code = 0
                 finally:
                     os._exit(code)
             writers[pid] = k
-        _write_share(snapshots[0::n], outdir, x_text)
+        _write_share(snapshots, 0, n, outdir, x_text)
     finally:
         failed = [k for pid, k in writers.items() if os.waitpid(pid, 0)[1] != 0]
     for k in failed:
-        _write_share(snapshots[k::n], outdir, x_text)
+        _write_share(snapshots, k, n, outdir, x_text)
     return paths
 
 

@@ -261,9 +261,12 @@ class InitialCondition:
 
 @dataclass
 class RunResult:
-    state: SimState
     records: list
-    snapshots: list  # (index, SimState) pairs
+    snapshots: list  # states in file order: snapshots[i] is fields_{i:06d}.csv
+
+    @property
+    def state(self) -> SimState:
+        return self.snapshots[-1]  # a finished run's final state
 
 
 def _breakdown(reason: str, t: float, u: np.ndarray, at: np.ndarray) -> NumericalBreakdownError:
@@ -521,14 +524,14 @@ def _plan_steps(opts: SolverOptions, dx: float):
 
 
 def run(config) -> RunResult:
-    """Execute a configured run; collect one diagnostics row per output step.
+    """Execute a configured run; collect its series records and snapshots.
 
     `config` is a RunConfig (or anything exposing .physics, .grid, .solver,
     .ic and .output the same way). Series records and field snapshots are
     taken at step 0, every series_every/snapshot_every steps (0 disables the
-    periodic cadence) and at the final step. On numerical breakdown the
-    partial records/snapshots are attached to the raised error so callers can
-    flush them.
+    periodic cadence) and at the final step. On numerical breakdown, the
+    initial state's included, the result so far is attached to the raised
+    error as `err.result` so callers can flush it.
     """
     params: PhysicsParams = config.physics
     grid: Grid1D = config.grid
@@ -537,13 +540,13 @@ def run(config) -> RunResult:
     snapshot_every = config.output.snapshot_every
 
     n_steps, dt = _plan_steps(opts, grid.dx)
-    state = initial_condition(config.ic, grid, params)
-    initial_n_e = integrate(state.n_e, grid.dx)
-    work = Workspace(grid.cells)
-
-    records = [make_record(state, params, initial_n_e, work)]
-    snapshots = [(0, state)]
+    result = RunResult([], [])
     try:
+        state = initial_condition(config.ic, grid, params)
+        initial_n_e = integrate(state.n_e, grid.dx)
+        work = Workspace(grid.cells)
+        result.records.append(make_record(state, params, initial_n_e, work))
+        result.snapshots.append(state)
         for step in range(1, n_steps + 1):
             # an overflow or invalid value in a step that leaves a field
             # non-finite is reported by its finite scans with t and cell;
@@ -552,11 +555,10 @@ def run(config) -> RunResult:
                 state = rk4_step(state, dt, params, opts, work)
             last = step == n_steps
             if (series_every and step % series_every == 0) or last:
-                records.append(make_record(state, params, initial_n_e, work))
+                result.records.append(make_record(state, params, initial_n_e, work))
             if (snapshot_every and step % snapshot_every == 0) or last:
-                snapshots.append((len(snapshots), state))
+                result.snapshots.append(state)
     except NumericalBreakdownError as err:
-        err.records = records
-        err.snapshots = snapshots
+        err.result = result
         raise
-    return RunResult(state, records, snapshots)
+    return result

@@ -21,6 +21,7 @@ import pairplasma
 from pairplasma import __version__, cli, output, solver
 from pairplasma.cli import cli_main
 from pairplasma.config import parse_config
+from pairplasma.diagnostics import SERIES_COLUMNS
 from pairplasma.errors import ConfigError, NumericalBreakdownError, PairPlasmaError
 from pairplasma.grid import Grid1D
 from pairplasma.output import write_snapshot, write_snapshots
@@ -411,6 +412,37 @@ class TestRunCommand:
         series = (outdir / "series.csv").read_text().splitlines()
         assert len(series) > 10  # diagnostics up to the stop were flushed
 
+    def test_breakdown_result_holds_the_written_snapshots(self, tmp_path):
+        # wave breaking at t = 1293.75, after 12 snapshots: the error's result
+        # holds them in file order, snapshot i being fields_{i:06d}.csv
+        outdir, again = tmp_path / "out", tmp_path / "again"
+        text = f"{BREAKDOWN_SNAPSHOTS}output.dir = {outdir}\n"
+        with pytest.raises(NumericalBreakdownError) as excinfo:
+            solver.run(parse_config(text))
+        snapshots = excinfo.value.result.snapshots
+        assert excinfo.value.t == 1293.75 and len(snapshots) == 12
+        assert cli_main(["run", write_config(tmp_path, text)]) == 2
+        names = [f"fields_{i:06d}.csv" for i in range(12)]
+        assert sorted(p.name for p in outdir.glob("fields_*.csv")) == names
+        again.mkdir()
+        for i, state in enumerate(snapshots):
+            assert (outdir / names[i]).read_bytes() == write_snapshot(state, i, again).read_bytes()
+
+    def test_breakdown_in_the_initial_state_carries_an_empty_result(self, tmp_path):
+        # the field energy density overflows at t = 0, before any record or
+        # snapshot; `run` still flushes a header-only series.csv and a manifest
+        outdir = tmp_path / "out"
+        text = f"grid.cells = 64\nphysics.N0 = 1e300\noutput.dir = {outdir}\n"
+        with pytest.raises(NumericalBreakdownError) as excinfo:
+            solver.run(parse_config(text))
+        assert excinfo.value.t == 0.0
+        assert excinfo.value.result == solver.RunResult([], [])
+        assert cli_main(["run", write_config(tmp_path, text)]) == 2
+        assert sorted(p.name for p in outdir.iterdir()) == ["manifest.json", "series.csv"]
+        assert (outdir / "series.csv").read_text() == ",".join(SERIES_COLUMNS) + "\n"
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == ["series.csv"]
+
 
     @pytest.mark.parametrize("term", ["physics.a = 1e-4", "solver.bohm = on"])
     def test_density_dependent_terms_break_down_with_partial_flush(self, tmp_path, capsys, term):
@@ -723,20 +755,29 @@ BREAKDOWN_SNAPSHOTS = (  # wave breaking at t = 1293.75, after 12 snapshots
 
 @pytest.mark.parametrize("text, code", [(MANY_SNAPSHOTS, 0), (BREAKDOWN_SNAPSHOTS, 2)])
 def test_written_outputs_are_freed_before_the_manifest(tmp_path, monkeypatch, capsys, text, code):
-    # the hashing of the manifest must not hold the run's records and
-    # states: each is freed once its file is written, the final state too,
-    # except on a breakdown, whose traceback keeps the last good state
+    # the hashing of the manifest must not hold the run's workspace, records
+    # and states: each is freed once its file is written, the final state
+    # too, and on a breakdown the last good state and the workspace, which
+    # the solver's frames in the error's traceback hold, as well
     refs = []
     real_run, real_manifest = solver.run, cli.write_manifest
+
+    class Tracked(solver.Workspace):
+        def __init__(self, cells):
+            super().__init__(cells)
+            refs.append(weakref.ref(self))
 
     def run(config):
         try:
             result = real_run(config)
         except NumericalBreakdownError as err:
-            refs.extend(weakref.ref(state) for _, state in err.snapshots[:-1])
-            refs.extend(weakref.ref(record) for record in err.records)
+            result = err.result
+            assert len(refs) == 1
+            refs.extend(weakref.ref(state) for state in result.snapshots)
+            refs.extend(weakref.ref(record) for record in result.records)
             raise
-        refs.extend(weakref.ref(state) for _, state in result.snapshots)
+        assert len(refs) == 1
+        refs.extend(weakref.ref(state) for state in result.snapshots)
         refs.extend(weakref.ref(record) for record in result.records[:-1])  # the summary's
         return result
 
@@ -746,6 +787,7 @@ def test_written_outputs_are_freed_before_the_manifest(tmp_path, monkeypatch, ca
         alive.extend(ref() is not None for ref in refs)
         return real_manifest(*args)
 
+    monkeypatch.setattr(solver, "Workspace", Tracked)
     monkeypatch.setattr(solver, "run", run)
     monkeypatch.setattr(cli, "write_manifest", write_manifest)
     cfg = write_config(tmp_path, f"{text}output.dir = {tmp_path / 'out'}\n")
@@ -821,8 +863,7 @@ class TestParallelWriters:
     def test_forked_writer_error_is_raised(self, tmp_path, monkeypatch):
         # without the manifest, which would fail on the directory as well
         grid = Grid1D(24000.0, 64)
-        snapshots = [(i, SimState.from_fields(grid, float(i), *np.ones((5, grid.cells))))
-                     for i in range(3)]
+        snapshots = [SimState.from_fields(grid, float(i), *np.ones((5, grid.cells))) for i in range(3)]
         (tmp_path / "fields_000001.csv").mkdir()
         self.use_cpus(monkeypatch, 3)
         with pytest.raises(OSError, match="fields_000001.csv"):
@@ -830,7 +871,7 @@ class TestParallelWriters:
         self.assert_no_child_left()
         for i in (0, 2):  # the other writers' shares are complete
             written = (tmp_path / f"fields_00000{i}.csv").read_bytes()
-            assert written == write_snapshot(snapshots[i][1], 9, tmp_path).read_bytes()
+            assert written == write_snapshot(snapshots[i], 9, tmp_path).read_bytes()
 
     def test_dead_writer_share_is_written_by_the_run_process(self, tmp_path, monkeypatch):
         # every forked writer dies before writing a file; the run process
@@ -893,8 +934,8 @@ class TestParallelWriters:
         forks = self.count_forks(monkeypatch, real=False)
         grid = Grid1D(24000.0, 64)
         state = SimState.from_fields(grid, 0.0, *np.ones((5, grid.cells)))
-        paths = write_snapshots([(7, state)], tmp_path)
-        assert paths == [tmp_path / "fields_000007.csv"]
+        paths = write_snapshots([state], tmp_path)
+        assert paths == [tmp_path / "fields_000000.csv"]
         assert paths[0].read_bytes() == write_snapshot(state, 8, tmp_path).read_bytes()
         assert forks == []
 

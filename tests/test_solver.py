@@ -588,8 +588,8 @@ class TestRun:
         with pytest.raises(NumericalBreakdownError) as excinfo:
             run(config)
         assert excinfo.value.t > 0.0
-        assert len(excinfo.value.records) > 10
-        assert excinfo.value.records[0].t == 0.0
+        assert len(excinfo.value.result.records) > 10
+        assert excinfo.value.result.records[0].t == 0.0
 
     def test_first_step_state_with_negative_density(self):
         # the default run at M = 512, cfl 0.4 (dt = 37.5): the first state
@@ -615,16 +615,17 @@ class TestRun:
         assert result.state.t == 250.0
 
     def test_snapshot_numbers_count_the_snapshots(self):
-        # kills the mutants of the snapshot numbers (`len(snapshots) + 1`, a
-        # first index of 1): 5 steps of 300, a snapshot at step 0, every 3rd
-        # step and the last
+        # a snapshot is numbered by its position (output.write_snapshots),
+        # so the list holds exactly the snapshots, in order: 5 steps of 300,
+        # a snapshot at step 0, every 3rd step and the last
         config = _MiniConfig(
             grid=Grid1D(half_width=24000.0, cells=64),
             solver=SolverOptions(t_end=1500.0),
             output=OutputConfig(series_every=1, snapshot_every=3),
         )
         result = run(config)
-        assert [(i, s.t) for i, s in result.snapshots] == [(0, 0.0), (1, 900.0), (2, 1500.0)]
+        assert [s.t for s in result.snapshots] == [0.0, 900.0, 1500.0]
+        assert result.state is result.snapshots[-1]
 
     def test_final_record_at_t_end(self):
         config = _MiniConfig(solver=SolverOptions(t_end=300.0))
@@ -819,10 +820,10 @@ class TestWorkspaceReference:
             physics=params, solver=opts, output=OutputConfig(series_every=1, snapshot_every=1)
         )
         result = run(config)
-        initial_n_e = integrate(result.snapshots[0][1].n_e, config.grid.dx)
+        initial_n_e = integrate(result.snapshots[0].n_e, config.grid.dx)
         assert len(result.records) == len(result.snapshots) >= 21
         # the run's workspace, primed by rk4_step, against a fresh one per record
-        for record, (_, snap) in zip(result.records, result.snapshots):
+        for record, snap in zip(result.records, result.snapshots):
             assert record == make_record(snap, params, initial_n_e)
 
 
@@ -860,13 +861,13 @@ class TestWorkspaceMemory:
         offsets = [a.ctypes.data % kernels.PAGE_BYTES for a in own]
         assert offsets == [i * kernels.BUFFER_SKEW for i in range(len(own))]
         # each state's u, returned by one rk4_step, and its row views
-        states = [snap.u for _, snap in result.snapshots]
+        states = [snap.u for snap in result.snapshots]
         assert len(states) == 5 and all(u.shape == (5, cells) for u in states)
         for i, u in enumerate(states):
             assert u.flags.c_contiguous
             assert not any(np.shares_memory(u, b) for b in buffers)
             assert not any(np.shares_memory(u, v) for v in states[i + 1 :])
-        arrays = [f for _, snap in result.snapshots for f in fields_of(snap)]
+        arrays = [f for snap in result.snapshots for f in fields_of(snap)]
         for i, f in enumerate(arrays):
             assert not any(np.shares_memory(f, b) for b in buffers)
             assert not any(np.shares_memory(f, g) for g in arrays[i + 1 :])
