@@ -18,13 +18,7 @@ from .diagnostics import (
     make_record,
     pair_count_delta,
 )
-from .errors import (
-    ChargeImbalanceError,
-    ConfigError,
-    InvalidStateError,
-    NumericalBreakdownError,
-    PairPlasmaError,
-)
+from .errors import ConfigError, NumericalBreakdownError, PairPlasmaError
 from .grid import Grid1D, bohm_potential, d2dx2, ddx, hyperdiffusion, integrate, poisson_init_E
 from .kernels import (
     PhysicsParams,

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Every package error is one of two kinds, one per exit code of
-`pairplasma run` (see `cli`): a `ConfigError` (bad input, exit 1) or a
-`NumericalBreakdownError` (the solution left the model, exit 2).
+Every package error is a `ConfigError` (bad input, exit 1) or a
+`NumericalBreakdownError` (the solution left the model, exit 2), one class
+per exit code of `pairplasma run` (see `cli`), with no subclasses.
 """
 
 
@@ -11,19 +11,7 @@ class PairPlasmaError(Exception):
 
 
 class ConfigError(PairPlasmaError):
-    """Bad input: config text, a value out of range, or a snapshot the config names."""
-
-
-class InvalidStateError(ConfigError):
-    """A field or kernel argument violates a state invariant (NaN, negative density)."""
-
-
-class ChargeImbalanceError(ConfigError):
-    """The periodic domain carries net charge, so no periodic field solution exists."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
+    """Bad input: config text, a value out of range, a snapshot, or a charged initial state."""
 
 
 class NumericalBreakdownError(PairPlasmaError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChargeImbalanceError, ConfigError
+from .errors import ConfigError
 
 # Relative tolerance (per unit domain length) on the net charge when solving
 # for the initial field; a periodic solution only exists for a neutral box.
@@ -187,16 +187,16 @@ def poisson_init_E(
     (between cells M-1 and 0, i.e. |x| = X) is zero, mimicking fields that
     vanish at infinity.
 
-    Raises ChargeImbalanceError when the box carries net charge beyond
-    CHARGE_TOLERANCE per unit length, since no periodic solution exists then.
+    Raises ConfigError, naming the net charge integral, when the box carries
+    net charge beyond CHARGE_TOLERANCE per unit length, since no periodic
+    solution exists then.
     """
     net_charge = integrate(1.0 - n_e + n_p, grid.dx)
     limit = CHARGE_TOLERANCE * grid.length
     if abs(net_charge) > limit:
-        raise ChargeImbalanceError(
+        raise ConfigError(
             f"net charge integral {net_charge:.6e} exceeds tolerance {limit:.6e}; "
-            "the periodic field equation has no solution",
-            residual=net_charge,
+            "the periodic field equation has no solution"
         )
     source = omega_pe_sq * (1.0 - n_e + n_p)
     m = grid.cells

@@ -10,7 +10,10 @@ pair creation rate is
 where N0 = n0 * h^3 / (m_e * c)^3 is the dimensionless reference density.
 All kernels are pure functions of their arguments (no global state) and
 accept scalars or equal-shaped numpy arrays; they are safe to call from any
-number of concurrent evaluators. `Workspace`, by contrast, holds one run's
+number of concurrent evaluators. They check nothing: N0 and a are those
+that `PhysicsParams` checks, a NaN argument gives NaN as numpy evaluates it,
+and the solver checks its state (finite fields, and n > 0 where a term needs
+it) before it evaluates them. `Workspace`, by contrast, holds one run's
 buffers: the gamma and phi it primes, and the arrays `solver` and
 `diagnostics` compute in.
 """
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constants
-from .errors import ConfigError, InvalidStateError
+from .errors import ConfigError
 
 # exp(x) rounds to exactly 0 for x below about -745.13, so exp(-pi/|E|) is
 # exactly 0 for every |E| < pi/746.
@@ -71,13 +74,6 @@ class PhysicsParams:
             )
 
 
-def _checked(E):
-    arr = np.asarray(E, dtype=np.float64)
-    if np.isnan(arr).any():
-        raise InvalidStateError("E contains NaN")
-    return arr
-
-
 def _maybe_scalar(x):
     return float(x) if np.ndim(x) == 0 else x
 
@@ -101,8 +97,7 @@ def pair_factor(E, N0: float, out=None):
     -746, where exp rounds to exactly 0, so skipping those cells (numpy's
     exp is slow on them) changes no bit of the result. NaN cells are
     evaluated like any other. Does no validation: the solver checks its
-    state once per stage, the public kernels check their own arguments.
-    Writes into `out` when given.
+    state once per stage. Writes into `out` when given.
     """
     abs_e = np.abs(E)
     live = ~(abs_e < UNDERFLOW_FIELD)
@@ -117,11 +112,10 @@ def pair_factor(E, N0: float, out=None):
 def schwinger_rate_norm(E, N0: float):
     """Normalized pair creation rate q0 = (E^2 / N0) * exp(-pi / |E|).
 
-    Even in E. Returns exact zero wherever the exponential underflows.
+    Even in E. Returns exact zero wherever the exponential underflows, and
+    NaN where E is NaN. N0 must be positive; `PhysicsParams` checks it.
     """
-    if not (N0 > 0.0):
-        raise ConfigError(f"N0 must be positive, got {N0}")
-    arr = _checked(E)
+    arr = np.asarray(E, dtype=np.float64)
     return _maybe_scalar(arr * arr * pair_factor(arr, N0))
 
 
@@ -130,12 +124,11 @@ def displacement_flux(E, gamma, N0: float):
 
     Models creation of the two partners at field-dependent offsets, so the
     pair's energy is drawn from the field. Odd in E; exact zero wherever
-    the exponential underflows. `solver.rhs` computes it inline and never
+    the exponential underflows, NaN where E is NaN. N0 must be positive;
+    `PhysicsParams` checks it. `solver.rhs` computes it inline and never
     calls this; it stays while `perfbench/child.py` traces it (ROADMAP item 1).
     """
-    if not (N0 > 0.0):
-        raise ConfigError(f"N0 must be positive, got {N0}")
-    arr = _checked(E)
+    arr = np.asarray(E, dtype=np.float64)
     return _maybe_scalar(gamma * (arr * pair_factor(arr, N0)))
 
 
@@ -155,16 +148,14 @@ def schwinger_rate_si(E_field):
 def recombination_momentum_exchange(p_self, p_other, n_other, a: float):
     """Momentum drag -a * n_other * (p_self - p_other) from annihilation.
 
-    `solver.rhs` computes it inline and never calls this; it stays while
-    `perfbench/child.py` traces it (ROADMAP item 1).
+    a >= 0 is checked by `PhysicsParams`, and n_other > 0 by the solver
+    before any stage with recombination on. `solver.rhs` computes it inline
+    and never calls this; it stays while `perfbench/child.py` traces it
+    (ROADMAP item 1).
     """
-    if not (a >= 0.0):
-        raise ConfigError(f"recombination coefficient a must be >= 0, got {a}")
     p_self = np.asarray(p_self, dtype=np.float64)
     p_other = np.asarray(p_other, dtype=np.float64)
     n_other = np.asarray(n_other, dtype=np.float64)
-    if (n_other < 0.0).any():
-        raise InvalidStateError("densities must be non-negative")
     return _maybe_scalar(-a * (n_other * (p_self - p_other)))
 
 

@@ -139,10 +139,11 @@ def write_snapshots(snapshots, outdir) -> list:
 def read_snapshot(path):
     """Read a snapshot CSV that `write_snapshot` wrote, as (t, dict of column arrays).
 
-    Raises ConfigError, naming the path and the line, when the header is not
-    SNAPSHOT_COLUMNS in that order, when a row is not numeric or does not
-    have one value per column, when a value is not finite, or when a line is
-    not UTF-8 text, and naming the path when the file holds no data row.
+    Raises ConfigError, naming the path and the line, when a `#` line is not
+    `# t = <time>`, when the header is not SNAPSHOT_COLUMNS in that order,
+    when a row is not numeric or does not have one value per column, when a
+    value is not finite, or when a line is not UTF-8 text, and naming the
+    path when the file holds no data row.
     """
     t = 0.0
     header = ",".join(SNAPSHOT_COLUMNS)
@@ -157,8 +158,13 @@ def read_snapshot(path):
                 if not line:
                     continue
                 if line.startswith("#"):
-                    _, _, value = line.partition("=")
-                    t = float(value)
+                    label, _, value = line.partition(" = ")
+                    try:
+                        if label != "# t":
+                            raise ValueError
+                        t = float(value)
+                    except ValueError:
+                        raise ValueError(f"expected '# t = <time>', got '{line}'") from None
                 elif not seen_header:
                     if line != header:
                         raise ValueError(f"header is not {header}")

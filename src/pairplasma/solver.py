@@ -92,7 +92,7 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import make_record
-from .errors import ChargeImbalanceError, ConfigError, NumericalBreakdownError
+from .errors import ConfigError, NumericalBreakdownError
 from .grid import (
     Grid1D,
     bohm_potential,
@@ -310,7 +310,7 @@ def rhs(state: SimState, params: PhysicsParams, opts: SolverOptions, work=None, 
         work.prime(state, params)
     work.primed = None  # the stencil stack below may overwrite the gammas
     # Bohm and recombination are undefined for n <= 0: stop as a breakdown
-    # (with t and cell) rather than fail inside their kernels.
+    # (with t and cell). This is their one density check; the kernels have none.
     if opts.stop_on_negative_density or opts.bohm or params.a != 0.0:
         _check_positive_densities(state)
     if out is None:
@@ -475,7 +475,7 @@ def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams)
             )
     try:
         E = poisson_init_E(n_e, n_p, params.omega_pe_sq, grid)
-    except ChargeImbalanceError as err:
+    except ConfigError as err:
         if ic.kind == "file":
             # the snapshot's own densities carry the charge: a bad input file
             raise ConfigError(f"snapshot {ic.path}: {err}") from None

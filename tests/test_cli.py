@@ -537,6 +537,8 @@ BAD_SNAPSHOTS = {
     "extra_column": (restart_text(extra="rho"), 2),
     "reordered_columns": (restart_text().replace("p_e,p_p", "p_p,p_e", 1), 2),
     "non_utf8": (restart_text().encode() + b"\xff", 11),
+    # a `#` line other than `# t = <time>`
+    "other_key_line": (restart_text().replace("# t = 0.0", "# foo = 2"), 1),
 }
 
 
@@ -673,7 +675,7 @@ def test_every_package_error_has_one_exit_code(tmp_path, capsys, monkeypatch, cl
         code, prefix = 1, "configuration error"
     else:
         code, prefix = 2, "numerical breakdown"
-    # 0 for each argument past the message (the residual, or t and cell)
+    # 0 for each argument past the message (t and cell)
     params = inspect.signature(cls.__init__).parameters.values()
     extra = [p for p in params if p.kind is p.POSITIONAL_OR_KEYWORD][2:]
 

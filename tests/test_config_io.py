@@ -231,6 +231,18 @@ class TestSnapshotFile:
         np.testing.assert_array_equal(fields["n_e"], state.n_e)
         np.testing.assert_array_equal(fields["p_p"], state.p_p)
 
+    # the one `#` line a snapshot may hold is the `# t = <time>` that write_snapshot writes
+    @pytest.mark.parametrize("line", ["# note", "# foo = 2", "#t=2", "# t = soon"])
+    def test_stray_comment_line_refused(self, tmp_path, line):
+        grid = Grid1D(half_width=24000.0, cells=128)
+        path = write_snapshot(initial_condition(InitialCondition(), grid, PARAMS), 0, tmp_path)
+        text = path.read_text()
+        assert text.startswith("# t = 0.0\n")
+        path.write_text(text.replace("# t = 0.0", line, 1))
+        with pytest.raises(ConfigError) as info:
+            read_snapshot(path)
+        assert str(info.value) == f"snapshot {path}, line 1: expected '# t = <time>', got '{line}'"
+
     def test_peak_field_in_initial_snapshot(self, tmp_path):
         grid = Grid1D(half_width=24000.0, cells=2048)
         state = initial_condition(InitialCondition(), grid, PARAMS)

@@ -145,27 +145,32 @@ class TestRhs:
         for g, w in zip(got[[0, 3, 4]], (dE, dp_e + drag_e, dp_p + drag_p)):
             assert np.array_equal(g, w)
 
+    # the one finite check of a state: the kernels evaluate a NaN field as NaN
     def test_nan_rejected(self):
         grid = Grid1D(half_width=100.0, cells=64)
-        state = uniform_state(grid)
-        state.p_e[5] = np.nan
-        with pytest.raises(NumericalBreakdownError) as excinfo:
-            rhs(state, PARAMS, SolverOptions(t_end=1.0))
-        assert excinfo.value.cell == 5
+        for row, cell in (("p_e", 5), ("E", 9)):
+            state = uniform_state(grid)
+            getattr(state, row)[cell] = np.nan
+            with pytest.raises(NumericalBreakdownError) as excinfo:
+                rhs(state, PARAMS, SolverOptions(t_end=1.0))
+            assert excinfo.value.cell == cell
 
     def test_strict_positivity_mode(self):
         grid = Grid1D(half_width=100.0, cells=64)
         state = uniform_state(grid)
         state.n_p[7] = -1e-6
         rhs(state, PARAMS, SolverOptions(t_end=1.0))  # tolerated by default
-        with pytest.raises(NumericalBreakdownError) as excinfo:
-            rhs(state, PARAMS, SolverOptions(t_end=1.0, stop_on_negative_density=True))
-        assert excinfo.value.cell == 7
-        # an exact 0 stops too: kills `n <= 0` -> `n < 0` in _check_positive_densities
-        state.n_p[7] = 0.0
-        with pytest.raises(NumericalBreakdownError) as excinfo:
-            rhs(state, PARAMS, SolverOptions(t_end=1.0, stop_on_negative_density=True))
-        assert excinfo.value.cell == 7
+        # the flag stops it, and so does recombination (a > 0): this is the one
+        # density check of the momentum exchange, which its kernel does not repeat
+        recombining = PhysicsParams(N0=0.2, alpha=1.0 / 137.0, a=0.5)
+        for params, strict in ((PARAMS, True), (recombining, False)):
+            opts = SolverOptions(t_end=1.0, stop_on_negative_density=strict)
+            # an exact 0 stops too: kills `n <= 0` -> `n < 0` in _check_positive_densities
+            for value in (-1e-6, 0.0):
+                state.n_p[7] = value
+                with pytest.raises(NumericalBreakdownError) as excinfo:
+                    rhs(state, params, opts)
+                assert excinfo.value.cell == 7
 
 
 # The model's terms, off and on, each with the (cfl, steps) of its Gauss-law
