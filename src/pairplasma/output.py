@@ -139,52 +139,46 @@ def write_snapshots(snapshots, outdir) -> list:
 def read_snapshot(path):
     """Read a snapshot CSV that `write_snapshot` wrote, as (t, dict of column arrays).
 
-    Raises ConfigError, naming the path and the line, when a `#` line is not
-    `# t = <time>`, when the header is not SNAPSHOT_COLUMNS in that order,
-    when a row is not numeric or does not have one value per column, when a
-    value is not finite, or when a line is not UTF-8 text, and naming the
-    path when the file holds no data row.
+    The grammar is positional, the layout `write_snapshot` writes: line 1 is
+    `# t = <time>` with a finite time, line 2 the header SNAPSHOT_COLUMNS in
+    that order, and every later line a data row of one number per column.
+    Raises ConfigError, naming the path and the line, when line 1 or the
+    header is not that, when a later line (a blank one, a `#` line) is not
+    such a row, when a value is not finite, or when a line is not UTF-8
+    text, and naming the path when the file holds no data row.
     """
-    t = 0.0
     header = ",".join(SNAPSHOT_COLUMNS)
-    seen_header = False
     width = len(SNAPSHOT_COLUMNS)
-    values = []  # every data row, end to end
-    linenos = []
+    values = []  # every data row, end to end: row r is line r + 3
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
                 line = raw.decode("utf-8").strip()  # a UnicodeDecodeError is a ValueError
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    label, _, value = line.partition(" = ")
-                    try:
-                        if label != "# t":
-                            raise ValueError
-                        t = float(value)
-                    except ValueError:
-                        raise ValueError(f"expected '# t = <time>', got '{line}'") from None
-                elif not seen_header:
-                    if line != header:
-                        raise ValueError(f"header is not {header}")
-                    seen_header = True
-                else:
+                if lineno > 2:
                     row = line.split(",")
                     values.extend(map(float, row))
                     if len(row) != width:
                         raise ValueError(f"{len(row)} values, the header has {width} columns")
-                    linenos.append(lineno)
+                elif lineno == 1:
+                    label, _, value = line.partition(" = ")
+                    try:
+                        t = float(value)
+                        if label != "# t" or not np.isfinite(t):
+                            raise ValueError
+                    except ValueError:
+                        raise ValueError(f"expected '# t = <time>', got '{line}'") from None
+                elif line != header:
+                    raise ValueError(f"header is not {header}")
             except ValueError as err:
                 raise ConfigError(f"snapshot {path}, line {lineno}: {err}") from None
-    if not linenos:
+    if not values:
         raise ConfigError(f"snapshot {path} contains no data rows")
-    data = np.array(values, dtype=np.float64).reshape(len(linenos), width)
+    data = np.array(values, dtype=np.float64).reshape(-1, width)
     bad = ~np.isfinite(data)
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise ConfigError(
-            f"snapshot {path}, line {linenos[row]}: "
+            f"snapshot {path}, line {row + 3}: "
             f"{SNAPSHOT_COLUMNS[col]} = {float(data[row, col])!r} is not finite"
         )
     return t, {name: data[:, i].copy() for i, name in enumerate(SNAPSHOT_COLUMNS)}

@@ -225,9 +225,11 @@ class InitialCondition:
     Momenta start at zero unless the file provides them; E always comes from
     the Gauss-law solve so the state starts constraint-consistent. base_p
     must be positive, a Gaussian's L at least one cell, and a snapshot must
-    have the grid's cell count, its x column exactly the grid's cell centres
-    and no net charge (else the run stops with a configuration error). A
-    restart runs from t = 0: the snapshot's own time is not carried over.
+    follow `output.read_snapshot`'s grammar (exactly the file a run writes),
+    have an x column that is exactly the grid's cell centres (so also the
+    grid's cell count) and carry no net charge (else the run stops with a
+    configuration error). A restart runs from t = 0: the snapshot's finite
+    `# t` is checked but not carried over.
     """
 
     kind: str = "gaussian"
@@ -441,10 +443,13 @@ def rk4_step(
 # energy check below report them with their cell
 @np.errstate(over="ignore", invalid="ignore")
 def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams) -> SimState:
-    """Build a Gauss-law-consistent initial state at t = 0."""
+    """Build a Gauss-law-consistent initial state at t = 0 in one (5, M) array.
+
+    The kind's densities, and a snapshot's momenta (else zeros), fill rows
+    1-4; row 0 is then `poisson_init_E` of the densities.
+    """
     x = grid.x
-    p_e = np.zeros(grid.cells)
-    p_p = np.zeros(grid.cells)
+    u = np.zeros((5, grid.cells))
     base_e = 1.0 + ic.base_p  # neutral with the ions
     if ic.kind == "gaussian":
         if ic.L < grid.dx:
@@ -453,28 +458,24 @@ def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams)
                 f"ic.L = {ic.L!r} is narrower than one cell (grid dx = {grid.dx!r}); "
                 "the Gaussian is not resolved"
             )
-        u = x / ic.L
-        n_e = base_e + ic.amplitude * u * np.exp(-u * u)
-        n_p = np.full(grid.cells, ic.base_p)
+        xi = x / ic.L
+        u[1] = base_e + ic.amplitude * xi * np.exp(-xi * xi)
+        u[2] = ic.base_p
     elif ic.kind == "sine":
         k = math.pi * ic.mode / grid.half_width
-        n_e = base_e + ic.amplitude * np.sin(k * x)
-        n_p = np.full(grid.cells, ic.base_p)
+        u[1] = base_e + ic.amplitude * np.sin(k * x)
+        u[2] = ic.base_p
     else:  # file
         _, fields_ = read_snapshot(ic.path)
-        n_e, n_p = fields_["n_e"], fields_["n_p"]
-        p_e, p_p = fields_["p_e"], fields_["p_p"]
-        if len(n_e) != grid.cells:
+        if not np.array_equal(fields_["x"], x):
             raise ConfigError(
-                f"snapshot {ic.path} has {len(n_e)} cells but the grid has {grid.cells}"
+                f"snapshot {ic.path}: its x column ({len(fields_['x'])} cells) is not the "
+                f"grid's cell centres (half_width {grid.half_width!r}, cells {grid.cells})"
             )
-        if not np.array_equal(fields_["x"], grid.x):
-            raise ConfigError(
-                f"snapshot {ic.path}: its x column is not the grid's cell centres "
-                f"(half_width {grid.half_width!r}, cells {grid.cells})"
-            )
+        for row, name in zip(u, SNAPSHOT_COLUMNS[1:]):
+            row[:] = fields_[name]
     try:
-        E = poisson_init_E(n_e, n_p, params.omega_pe_sq, grid)
+        u[0] = poisson_init_E(u[1], u[2], params.omega_pe_sq, grid)
     except ConfigError as err:
         if ic.kind == "file":
             # the snapshot's own densities carry the charge: a bad input file
@@ -485,11 +486,11 @@ def initial_condition(ic: InitialCondition, grid: Grid1D, params: PhysicsParams)
             f"ic.amplitude = {ic.amplitude!r} and ic.base_p = {ic.base_p!r} charge the "
             f"neutral {ic.kind} state by rounding: {err}"
         ) from None
-    state = SimState.from_fields(grid, 0.0, E, n_e, n_p, p_e, p_p)
+    state = SimState(grid, 0.0, u)
     _check_fields(0.0, state.u)
     # a finite state whose energy overflows has no energy to record: the
     # densities E^2/(2 w2), n_e g_e and n_p g_p, then their integral
-    field = E * E / (2.0 * params.omega_pe_sq)
+    field = state.E * state.E / (2.0 * params.omega_pe_sq)
     density = np.concatenate(([field], state.n * lorentz_gamma(state.p)))
     finite = np.isfinite(density)
     for name, rows in (("field", finite[:1]), ("kinetic", finite[1:])):

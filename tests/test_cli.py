@@ -23,7 +23,7 @@ from pairplasma.cli import cli_main
 from pairplasma.config import parse_config
 from pairplasma.diagnostics import SERIES_COLUMNS
 from pairplasma.errors import ConfigError, NumericalBreakdownError, PairPlasmaError
-from pairplasma.grid import Grid1D
+from pairplasma.grid import Grid1D, integrate
 from pairplasma.output import write_snapshot, write_snapshots
 from pairplasma.solver import SimState
 
@@ -76,6 +76,20 @@ BREAKDOWNS = {
         "E = -2.14168, n_e = -0.800227, n_p = 0.01, p_e = 0, p_p = 0",
     ),
 }
+
+
+def gaussian_rounding_charge(amplitude, cells):
+    """Net charge integral of the default Gaussian state at `amplitude`, by
+    the formula `initial_condition` uses.
+
+    The odd Gaussian is neutral, so this is the rounding residue of numpy's
+    exp, which differs between numpy's CPU dispatch paths: -5.336706e+286
+    on AVX-512 and -5.380271e+286 on AVX2 at amplitude 1e300 and M = 64.
+    """
+    ic, grid = solver.InitialCondition(amplitude=amplitude), Grid1D(24000.0, cells)
+    u = grid.x / ic.L
+    n_e = (1.0 + ic.base_p) + ic.amplitude * u * np.exp(-u * u)
+    return integrate(1.0 - n_e + np.full(cells, ic.base_p), grid.dx)
 
 
 class TestRunCommand:
@@ -282,7 +296,8 @@ class TestRunCommand:
                 "ic.amplitude = 1e300",
                 1,
                 "configuration error: ic.amplitude = 1e+300 and ic.base_p = 0.01 charge the "
-                "neutral gaussian state by rounding: net charge integral -5.336706e+286 "
+                "neutral gaussian state by rounding: net charge integral "
+                f"{gaussian_rounding_charge(1e300, 64):.6e} "
                 "exceeds tolerance 4.800000e-04; the periodic field equation has no solution\n",
             ),
         ],
@@ -539,6 +554,14 @@ BAD_SNAPSHOTS = {
     "non_utf8": (restart_text().encode() + b"\xff", 11),
     # a `#` line other than `# t = <time>`
     "other_key_line": (restart_text().replace("# t = 0.0", "# foo = 2"), 1),
+    # the grammar is positional: `# t = <finite time>` on line 1, the header
+    # on line 2 and only data rows after it
+    "t_line_after_rows": (restart_text() + "# t = 5\n", 11),
+    "second_t_line": (restart_text().replace("# t = 0.0\n", "# t = 0.0\n# t = 0.0\n", 1), 2),
+    "nan_time": (restart_text().replace("# t = 0.0", "# t = nan", 1), 1),
+    "inf_time": (restart_text().replace("# t = 0.0", "# t = inf", 1), 1),
+    "no_t_line": (restart_text().replace("# t = 0.0\n", "", 1), 1),
+    "blank_line": (restart_text().replace("\n3000.0,", "\n\n3000.0,", 1), 7),
 }
 
 
@@ -592,7 +615,9 @@ class TestBadRestartInput:
         assert cli_main(["run", cfg]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("configuration error: ")
-        assert f"snapshot {snapshot} has 16 cells but the grid has 8" in err
+        # the x check alone refuses it, naming both cell counts
+        assert f"snapshot {snapshot}: its x column (16 cells) is not the grid's cell centres" in err
+        assert "(half_width 24000.0, cells 8)" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -231,8 +231,9 @@ class TestSnapshotFile:
         np.testing.assert_array_equal(fields["n_e"], state.n_e)
         np.testing.assert_array_equal(fields["p_p"], state.p_p)
 
-    # the one `#` line a snapshot may hold is the `# t = <time>` that write_snapshot writes
-    @pytest.mark.parametrize("line", ["# note", "# foo = 2", "#t=2", "# t = soon"])
+    # the one `#` line a snapshot may hold is the `# t = <time>` that write_snapshot
+    # writes, with a finite time
+    @pytest.mark.parametrize("line", ["# note", "# foo = 2", "#t=2", "# t = soon", "# t = nan"])
     def test_stray_comment_line_refused(self, tmp_path, line):
         grid = Grid1D(half_width=24000.0, cells=128)
         path = write_snapshot(initial_condition(InitialCondition(), grid, PARAMS), 0, tmp_path)
